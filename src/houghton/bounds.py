@@ -11,9 +11,9 @@ from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .perm import FinPerm
-from .elem import G, Group, GroupElement, finitary, in_class_tk, member
+from .elem import G, Group, GroupElement, finitary, member
 from .certs import NegativeCertificate, verify_negative
-from .orbits import decompose, orbit_index
+from .orbits import decompose
 
 
 class BoundsError(ValueError):
@@ -69,7 +69,7 @@ def spread_zero_witness(k: int, h: GroupElement) -> Tuple[FinPerm, NegativeCerti
     if h.shift == 0:
         return sigma, _checked(NegativeCertificate(target, gens, "finitary", {}))
     dec = decompose(h)
-    hit = {dec.orbit_id_of(h, x) for x in (1, 2, 3)}
+    hit = {dec.orbit_id_of(x) for x in (1, 2, 3)}
     for orb in dec.infinite:
         if "inf%d" % orb.index not in hit:
             cert = NegativeCertificate(
@@ -136,7 +136,7 @@ def refute_dominating(
             certs.append(_checked(cert))
         else:
             # the witness points all lie on one orbit; the other is invariant
-            used = dec.orbit_id_of(s, m + 1)
+            used = dec.orbit_id_of(m + 1)
             other = next(
                 orb for orb in dec.infinite if "inf%d" % orb.index != used
             )
@@ -169,12 +169,9 @@ def defeat_ten(h: GroupElement, group: Group) -> Tuple[FinPerm, NegativeCertific
     if k == 1:
         if not dec.finite:
             # clean translation-like element: three of the five points have
-            # orbit indices of equal parity
-            w = in_class_tk(h, 1)
-            seed = w.seeds[0]
-            idx = {x: orbit_index(h, seed, x) for x in range(1, 6)}
+            # positions of equal parity on its single orbit
             for parity in (0, 1):
-                pts = [x for x in range(1, 6) if idx[x] % 2 == parity]
+                pts = [x for x in range(1, 6) if dec.coord(x)[1] % 2 == parity]
                 if len(pts) >= 3:
                     sigma = FinPerm.cycle(*pts[:3])
                     break
@@ -185,7 +182,7 @@ def defeat_ten(h: GroupElement, group: Group) -> Tuple[FinPerm, NegativeCertific
             return sigma, _checked(cert)
         # split {1..5} by finite versus infinite orbit; one side has 3 points
         fin_side = [
-            x for x in range(1, 6) if dec.orbit_id_of(h, x).startswith("fin")
+            x for x in range(1, 6) if dec.orbit_id_of(x).startswith("fin")
         ]
         inf_side = [x for x in range(1, 6) if x not in fin_side]
         pts = fin_side[:3] if len(fin_side) >= 3 else inf_side[:3]
@@ -197,7 +194,7 @@ def defeat_ten(h: GroupElement, group: Group) -> Tuple[FinPerm, NegativeCertific
         )
         return sigma, _checked(cert)
     # G_2: one of the two infinite orbits contains at most two of {1..5}
-    ids = {x: dec.orbit_id_of(h, x) for x in range(1, 6)}
+    ids = {x: dec.orbit_id_of(x) for x in range(1, 6)}
     for orb in dec.infinite:
         oid = "inf%d" % orb.index
         outside = [x for x in range(1, 6) if ids[x] != oid]

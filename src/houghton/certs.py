@@ -32,7 +32,7 @@ from .elem import (
     parse_element,
     parse_group,
 )
-from .orbits import decompose, orbit_index
+from .orbits import decompose
 
 
 class CertError(ValueError):
@@ -91,14 +91,24 @@ def _fail(reason: str) -> VerifyResult:
     return VerifyResult(False, reason)
 
 
+def _is_int(v) -> bool:
+    """True for an int that is not a bool (JSON true must not read as 1)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _named(env: Dict[str, GroupElement], name) -> Optional[GroupElement]:
+    """The element bound to name, or None when name is unbound or not a string."""
+    return env.get(name) if isinstance(name, str) else None
+
+
 def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
     from .elem import identity
 
     out = identity()
     for name, exp in word:
-        if name not in env:
-            raise CertError("unknown name %r in word" % name)
-        if not isinstance(exp, int):
+        if _named(env, name) is None:
+            raise CertError("unknown name %r in word" % (name,))
+        if not _is_int(exp):
             raise CertError("non-integer exponent in word")
         out = out * (env[name] ** exp)
     return out
@@ -113,8 +123,8 @@ def _axiom_gcd_criterion(env, facts, params) -> Optional[str]:
     """A 3-cycle on one infinite orbit of s, with coprime gaps between the
     consecutive orbit positions of its support, gives Alt of that orbit;
     when s has a single orbit that is Alt(Z)."""
-    cyc = env.get(params.get("cycle"))
-    s = env.get(params.get("s"))
+    cyc = _named(env, params.get("cycle"))
+    s = _named(env, params.get("s"))
     if cyc is None or s is None:
         return "gcd_criterion: unknown element name"
     if cyc.shift != 0 or not cyc.fin.is_three_cycle():
@@ -125,14 +135,12 @@ def _axiom_gcd_criterion(env, facts, params) -> Optional[str]:
     dec = decompose(s)
     if dec.finite:
         return "gcd_criterion: s has finite orbits"
-    pts = sorted(cyc.fin.support)
-    ids = {dec.orbit_id_of(s, p) for p in pts}
+    coords = [dec.coord(p) for p in cyc.fin.support]
+    ids = {oid for oid, _ in coords}
     if len(ids) != 1:
         return "gcd_criterion: support spans several orbits of s"
     oid = ids.pop()
-    idx = sorted(orbit_index(s, pts[0], p) for p in pts)
-    if None in idx:
-        return "gcd_criterion: support not located on the orbit"
+    idx = sorted(n for _, n in coords)
     g1, g2 = idx[1] - idx[0], idx[2] - idx[1]
     if gcd(g1, g2) != 1:
         return "gcd_criterion: orbit gaps %d, %d are not coprime" % (g1, g2)
@@ -146,8 +154,8 @@ def _axiom_g2_seed(env, facts, params) -> Optional[str]:
     """A 3-cycle whose support, read in coordinates where s becomes t^2,
     contains two points of one parity two apart plus a point of the other
     parity, generates Alt(Z) together with s."""
-    cyc = env.get(params.get("cycle"))
-    s = env.get(params.get("s"))
+    cyc = _named(env, params.get("cycle"))
+    s = _named(env, params.get("s"))
     if cyc is None or s is None:
         return "g2_seed: unknown element name"
     if cyc.shift != 0 or not cyc.fin.is_three_cycle():
@@ -176,12 +184,12 @@ def _axiom_alt_basis(env, facts, params) -> Optional[str]:
     element that translates the tail beyond base by +-c give Alt of the
     tail {x > base}; since the step element has no finite orbits, every
     point eventually enters the tail and Alt(Z) follows."""
-    u = env.get(params.get("step"))
+    u = _named(env, params.get("step"))
     if u is None:
         return "alt_basis: unknown step element"
     base = params.get("base")
     c = params.get("c")
-    if not isinstance(base, int) or not isinstance(c, int) or c < 1:
+    if not _is_int(base) or not _is_int(c) or c < 1:
         return "alt_basis: bad base/c parameters"
     if abs(u.shift) != c:
         return "alt_basis: step element shift is not +-%d" % c
@@ -194,7 +202,7 @@ def _axiom_alt_basis(env, facts, params) -> Optional[str]:
         return "alt_basis: cycles must be a list of names"
     supports = set()
     for nm in names:
-        el = env.get(nm)
+        el = _named(env, nm)
         if el is None:
             return "alt_basis: unknown cycle name %r" % nm
         if el.shift == 0 and el.fin.is_three_cycle():
@@ -214,8 +222,8 @@ def _axiom_odd_even_mix(env, facts, params) -> Optional[str]:
     """Alt on one of the two orbits of s plus an even finitary element with
     a cycle meeting both orbits give Alt(Z)."""
     s_name = params.get("s")
-    s = env.get(s_name)
-    sigma = env.get(params.get("sigma"))
+    s = _named(env, s_name)
+    sigma = _named(env, params.get("sigma"))
     if s is None or sigma is None:
         return "odd_even_mix: unknown element name"
     if not any(f[0] == "alt_on_orbit" and f[1] == s_name for f in facts):
@@ -226,7 +234,7 @@ def _axiom_odd_even_mix(env, facts, params) -> Optional[str]:
     if sigma.shift != 0 or not sigma.fin.is_even():
         return "odd_even_mix: sigma is not an even finitary element"
     for cyc in sigma.fin.cycles():
-        ids = {dec.orbit_id_of(s, p) for p in cyc}
+        ids = {dec.orbit_id_of(p) for p in cyc}
         if len(ids) == 2:
             facts.add(ALT_Z)
             return None
@@ -251,6 +259,8 @@ def verify_positive(cert: PositiveCertificate) -> VerifyResult:
     for i, step in enumerate(cert.steps):
         where = "step %d" % i
         if isinstance(step, Derive):
+            if not isinstance(step.name, str):
+                return _fail("%s: name must be a string" % where)
             if step.name in env:
                 return _fail("%s: name %r already bound" % (where, step.name))
             try:
@@ -258,7 +268,7 @@ def verify_positive(cert: PositiveCertificate) -> VerifyResult:
             except CertError as exc:
                 return _fail("%s: %s" % (where, exc))
         elif isinstance(step, CheckEqual):
-            if step.name not in env:
+            if _named(env, step.name) is None:
                 return _fail("%s: unknown name %r" % (where, step.name))
             if env[step.name] != step.expected:
                 return _fail(
@@ -320,7 +330,7 @@ def _neg_shift_lattice(cert) -> VerifyResult:
 
 def _neg_not_in_group(cert) -> VerifyResult:
     name = cert.params.get("witness")
-    if name not in cert.generators:
+    if _named(cert.generators, name) is None:
         return _fail("not_in_group: unknown generator %r" % name)
     if member(cert.generators[name], cert.target):
         return _fail("not_in_group: %r is a member of %s" % (name, cert.target))
@@ -329,7 +339,7 @@ def _neg_not_in_group(cert) -> VerifyResult:
 
 def _neg_invariant_set(cert) -> VerifyResult:
     name = cert.params.get("element")
-    if name not in cert.generators:
+    if _named(cert.generators, name) is None:
         return _fail("invariant_set: unknown generator %r" % name)
     wanted = cert.params.get("orbits")
     if not isinstance(wanted, (list, tuple)) or not wanted:
@@ -339,7 +349,7 @@ def _neg_invariant_set(cert) -> VerifyResult:
     known = {"inf%d" % o.index for o in dec.infinite}
     known.update("fin%d" % i for i in range(len(dec.finite)))
     for oid in wanted:
-        if oid not in known:
+        if not isinstance(oid, str) or oid not in known:
             return _fail("invariant_set: %r has no orbit %r" % (name, oid))
     chosen_inf = [o for o in dec.infinite if "inf%d" % o.index in wanted]
     chosen_fin = [dec.finite[i] for i in range(len(dec.finite)) if "fin%d" % i in wanted]
@@ -394,43 +404,28 @@ def _neg_invariant_set(cert) -> VerifyResult:
 
 def _neg_block_system(cert) -> VerifyResult:
     mod = cert.params.get("modulus")
-    if not isinstance(mod, int) or mod < 2:
+    if not _is_int(mod) or mod < 2:
         return _fail("block_system: modulus must be an integer >= 2")
     try:
         s = parse_element(cert.params.get("relabel", ""))
     except ElemError as exc:
         return _fail("block_system: bad relabel element: %s" % exc)
-    w = in_class_tk(s, 1)
-    if w is None:
+    # s is conjugate to t or t^-1 exactly when it is a single infinite orbit;
+    # a point's class is its position on that orbit, mod the modulus
+    dec = decompose(s) if abs(s.shift) == 1 else None
+    if dec is None or dec.finite:
         return _fail("block_system: relabel element is not conjugate to t or t^-1")
-    seed = w.seeds[0]
     W = _window(list(cert.generators.values()) + [s])
-
-    cache: Dict[int, int] = {}
-
-    def phi(x: int) -> int:
-        if x not in cache:
-            n = orbit_index(s, seed, x, limit=4 * W + 16)
-            if n is None:
-                raise CertError("block_system: point %d not located" % x)
-            cache[x] = n
-        return cache[x]
-
-    try:
-        for gname, g in cert.generators.items():
-            pts = list(range(-W, W + 1)) + [W + 1 + s.eventual_bound(), -(W + 1 + s.eventual_bound())]
-            inc = None
-            for x in pts:
-                a = (phi(g.apply(x)) - phi(x)) % mod
-                if inc is None:
-                    inc = a
-                elif a != inc:
-                    return _fail(
-                        "block_system: generator %r is not class-affine mod %d"
-                        % (gname, mod)
-                    )
-    except CertError as exc:
-        return _fail(str(exc))
+    far = W + 1 + s.eventual_bound()
+    for gname, g in cert.generators.items():
+        incs = {
+            (dec.coord(g.apply(x))[1] - dec.coord(x)[1]) % mod
+            for x in list(range(-W, W + 1)) + [far, -far]
+        }
+        if len(incs) != 1:
+            return _fail(
+                "block_system: generator %r is not class-affine mod %d" % (gname, mod)
+            )
     return VerifyResult(
         True,
         "verified: all generators act affinely on classes mod %d" % mod,
@@ -439,11 +434,16 @@ def _neg_block_system(cert) -> VerifyResult:
 
 def _neg_imprimitivity3(cert) -> VerifyResult:
     pts = cert.params.get("points")
-    if not isinstance(pts, (list, tuple)) or len(pts) != 3 or len(set(pts)) != 3:
+    if (
+        not isinstance(pts, (list, tuple))
+        or len(pts) != 3
+        or not all(_is_int(p) for p in pts)
+        or len(set(pts)) != 3
+    ):
         return _fail("imprimitivity3: need three distinct points")
     a1, a2, a3 = pts
     hname = cert.params.get("h")
-    if hname not in cert.generators:
+    if _named(cert.generators, hname) is None:
         return _fail("imprimitivity3: unknown generator %r" % hname)
     if len(cert.generators) != 2:
         return _fail("imprimitivity3: exactly two generators required")
@@ -462,7 +462,7 @@ def _neg_imprimitivity3(cert) -> VerifyResult:
         return _fail("imprimitivity3: %r has no infinite orbits" % hname)
     ids = []
     for p in pts:
-        oid = dec.orbit_id_of(h, p)
+        oid = dec.orbit_id_of(p)
         if not oid.startswith("inf"):
             return _fail("imprimitivity3: point %d is on a finite orbit of %r" % (p, hname))
         ids.append(oid)
@@ -514,7 +514,7 @@ def _word_from_json(data) -> Word:
     out = []
     for item in data:
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
-                and isinstance(item[1], int)):
+                and _is_int(item[1])):
             raise CertError("bad word letter %r" % (item,))
         out.append((item[0], item[1]))
     return tuple(out)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from .orbits import decompose
 from .perm import FinPerm, PermError
 
 
@@ -119,6 +120,8 @@ def parse_element(text: str) -> GroupElement:
     part, and 'e' is accepted as the finitary part ('e t^-1').  Commas
     inside cycles are treated as whitespace.  Only ASCII is accepted.
     """
+    if not isinstance(text, str):
+        raise ElemError("element text must be a string, not %r" % (text,))
     s = text.strip()
     if any(ord(ch) > 127 for ch in s):
         raise ElemError("non-ASCII character in %r" % text)
@@ -204,29 +207,6 @@ class ClassTkWitness:
     seeds: Tuple[int, ...]
 
 
-def _has_finite_orbit(g: GroupElement) -> bool:
-    """True if g has a finite orbit (requires shift != 0 for termination)."""
-    c = g.shift
-    assert c != 0
-    m = g.eventual_bound()
-    lo, hi = -(m + abs(c)), m + abs(c)
-    seen_infinite = set()
-    for x in range(lo, hi + 1):
-        if x in seen_infinite:
-            continue
-        trail = [x]
-        y = g.apply(x)
-        while True:
-            if y == x:
-                return True
-            if (c > 0 and y > m) or (c < 0 and y < -m):
-                seen_infinite.update(p for p in trail if lo <= p <= hi)
-                break
-            trail.append(y)
-            y = g.apply(y)
-    return False
-
-
 def in_class_tk(g: GroupElement, k: int) -> Optional[ClassTkWitness]:
     """If g is conjugate in Sym(Z) to t^k or t^-k, return a witness; else None.
 
@@ -237,27 +217,14 @@ def in_class_tk(g: GroupElement, k: int) -> Optional[ClassTkWitness]:
     """
     if k < 1 or abs(g.shift) != k:
         return None
-    if _has_finite_orbit(g):
+    dec = decompose(g)
+    if dec.finite:
         return None
-    sign = 1 if g.shift > 0 else -1
-    m = g.eventual_bound()
-    seeds = []
-    for j in range(k):
-        # start from a far-positive point with residue j, beyond the support
-        x0 = m + 1 + ((j - (m + 1)) % k)
-        # walk backwards through the orbit while it decreases |value|
-        best = x0
-        y = x0
-        fwd = g if sign < 0 else g.inverse()
-        # going "inward": repeatedly apply the direction that moves left
-        while True:
-            y = fwd.apply(y)
-            if (c := abs(y)) < abs(best) or (c == abs(best) and y > best):
-                best = y
-            if y < -(m + k):
-                break
-        seeds.append(best)
-    return ClassTkWitness(k=k, sign=sign, seeds=tuple(seeds))
+    seeds = tuple(
+        min(orb.exceptional_points + (orb.entry, orb.exit), key=lambda x: (abs(x), -x))
+        for orb in dec.infinite
+    )
+    return ClassTkWitness(k=k, sign=1 if g.shift > 0 else -1, seeds=seeds)
 
 
 def class_tk_relabel(
@@ -265,26 +232,18 @@ def class_tk_relabel(
 ) -> Dict[int, int]:
     """Map each given point y to pi^-1(y) where pi(j + n*k) = (seed_j)g^n.
 
-    Each point must lie on one of the witnessed orbits within a bounded
-    search; raises ElemError otherwise.
+    Raises ElemError for a point on none of the witnessed orbits.
     """
-    m = g.eventual_bound()
-    out: Dict[int, int] = {}
-    limit = 2 * (m + w.k) + 4 * len(points) + 16
-    remaining = set(points)
+    dec = decompose(g)
+    seed_at: Dict[str, Tuple[int, int]] = {}
     for j, seed in enumerate(w.seeds):
-        y = seed
-        for n in range(limit):
-            if y in remaining:
-                out[y] = j + n * w.k
-                remaining.discard(y)
-            y = g.apply(y)
-        y = seed
-        for n in range(1, limit):
-            y = g.inverse().apply(y)
-            if y in remaining:
-                out[y] = j - n * w.k
-                remaining.discard(y)
-    if remaining:
-        raise ElemError("points %r not located on witnessed orbits" % sorted(remaining))
+        oid, n = dec.coord(seed)
+        seed_at.setdefault(oid, (j, n))
+    out: Dict[int, int] = {}
+    for y in points:
+        oid, n = dec.coord(y)
+        if oid not in seed_at or not oid.startswith("inf"):
+            raise ElemError("point %d not located on witnessed orbits" % y)
+        j, n0 = seed_at[oid]
+        out[y] = j + (n - n0) * w.k
     return out

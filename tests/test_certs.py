@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from houghton.elem import G, H2, parse_element
+from houghton.perm import FinPerm
+from houghton.elem import G, H2, finitary, make_s, parse_element
 from houghton.certs import (
     Axiom,
     CertError,
@@ -327,3 +330,91 @@ def test_unknown_axiom_variant_rejected():
 def test_unknown_negative_variant_rejected():
     cert = neg(G(1), gens(s="t^1"), "trust_me")
     assert not verify_negative(cert).ok
+
+
+# -- hostile parameters: a failing result, never an exception -----------------
+
+
+def test_block_system_relabel_not_a_string_rejected():
+    cert = cert_from_json(
+        '{"target": "G1", "generators": {"a": "(0 1 2)", "s": "t"},'
+        ' "negative": {"variant": "block_system", "relabel": 5, "modulus": 2}}'
+    )
+    res = verify(cert)
+    assert not res.ok and "relabel" in res.reason
+
+
+def test_imprimitivity3_unhashable_point_rejected():
+    cert = cert_from_json(
+        '{"target": "G3", "generators": {"a": "(1 2 3)", "h": "t^3"},'
+        ' "negative": {"variant": "imprimitivity3", "points": [1, 2, [3]], "h": "h"}}'
+    )
+    res = verify(cert)
+    assert not res.ok and "points" in res.reason
+
+
+def test_gcd_criterion_unhashable_name_rejected():
+    cert = cert_from_json(
+        '{"target": "G1", "generators": {"a": "(1 2 3)", "s": "t"},'
+        ' "steps": [{"axiom": {"variant": "gcd_criterion", "cycle": ["a"], "s": "s"}}]}'
+    )
+    res = verify(cert)
+    assert not res.ok and "unknown element name" in res.reason
+
+
+def test_boolean_exponent_rejected():
+    # JSON true must not be read as the exponent 1: x = s^true would pass the
+    # pinned check x = t and the certificate would go through
+    text = (
+        '{"target": "G1", "generators": {"a": "(1 2 3)", "s": "t"},'
+        ' "steps": [{"derive": {"name": "x", "word": [["s", true]]}},'
+        ' {"check": {"name": "x", "expected": "t"}},'
+        ' {"axiom": {"variant": "gcd_criterion", "cycle": "a", "s": "x"}}]}'
+    )
+    assert verify(cert_from_json(text.replace("true", "1"))).ok
+    with pytest.raises(CertError):
+        cert_from_json(text)
+    cert = pos(G(1), gens(a="(1 2 3)", s="t"),
+               [Derive("x", (("s", True),)), CheckEqual("x", parse_element("t")),
+                Axiom("gcd_criterion", {"cycle": "a", "s": "x"})])
+    res = verify_positive(cert)
+    assert not res.ok and "non-integer" in res.reason
+
+
+def test_boolean_parameters_rejected():
+    basis = pos(G(1), gens(u="t", c1="(1 2 3)"),
+                [Axiom("alt_basis", {"step": "u", "base": 0, "c": True, "cycles": ["c1"]})])
+    assert not verify_positive(basis).ok
+    block = neg(G(2), gens(a="(0 2 4)", s="t^2"), "block_system",
+                relabel="t^1", modulus=True)
+    assert not verify_negative(block).ok
+    imp = neg(G(3), gens(a="(1 2 3)", h="t^3"), "imprimitivity3",
+              points=[True, 2, 3], h="h")
+    assert not verify_negative(imp).ok
+
+
+def _wide_relabel():
+    """s = sigma^-1 t sigma for a scramble sigma of 40 points of [-300, 300]:
+    (x)s^n = (n)sigma for x = (0)sigma, and the eventual bound of s is past 300."""
+    rng = random.Random(7)
+    pts = [-300, 300] + rng.sample(range(-299, 300), 38)
+    img = pts[:]
+    rng.shuffle(img)
+    sigma = FinPerm(dict(zip(pts, img)))
+    s = make_s(sigma, 1)
+    assert s.eventual_bound() >= 300
+    return sigma, s
+
+
+def test_block_system_with_wide_relabel_element():
+    sigma, s = _wide_relabel()
+    even = FinPerm.cycle(sigma(0), sigma(2), sigma(4))
+    cert = NegativeCertificate(G(1), {"a": finitary(even), "s": s}, "block_system",
+                               {"relabel": str(s), "modulus": 2})
+    res = verify_negative(cert)
+    assert res.ok, res.reason
+    odd = FinPerm.cycle(sigma(0), sigma(1), sigma(2))
+    cert = NegativeCertificate(G(1), {"a": finitary(odd), "s": s}, "block_system",
+                               {"relabel": str(s), "modulus": 2})
+    res = verify_negative(cert)
+    assert not res.ok and "affine" in res.reason

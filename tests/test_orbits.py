@@ -1,7 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
 from houghton.perm import FinPerm
-from houghton.elem import GroupElement, finitary, parse_element, t
+from houghton.elem import GroupElement, finitary, in_class_tk, parse_element, t
 from houghton.orbits import decompose, orbit_index
 
 
@@ -76,18 +76,18 @@ def test_negative_shift():
 def test_orbit_id_of():
     g = parse_element("(0 2) t^2")
     dec = decompose(g)
-    assert dec.orbit_id_of(g, 2) == "fin0"
-    inf_ids = {dec.orbit_id_of(g, x) for x in (100, 101, -100, -101, 0)}
+    assert dec.orbit_id_of(2) == "fin0"
+    inf_ids = {dec.orbit_id_of(x) for x in (100, 101, -100, -101, 0)}
     assert inf_ids == {"inf0", "inf1"}
     # consistency: points on the same visible orbit get the same id
-    assert dec.orbit_id_of(g, 0) == dec.orbit_id_of(g, g.apply(0))
+    assert dec.orbit_id_of(0) == dec.orbit_id_of(g.apply(0))
 
 
 def test_orbit_id_of_finitary():
     g = finitary(FinPerm.cycle(1, 2))
     dec = decompose(g)
-    assert dec.orbit_id_of(g, 1) == "fin0"
-    assert dec.orbit_id_of(g, 7) == "fixed"
+    assert dec.orbit_id_of(1) == "fin0"
+    assert dec.orbit_id_of(7) == "fixed"
 
 
 def test_orbit_index_translation():
@@ -139,7 +139,7 @@ def test_decomposition_partitions_window(sigma, c):
             assert all(abs(x) <= m for x in cyc)
     # every near-support point lands in exactly one orbit id
     for x in range(-(m + abs(c) + 1), m + abs(c) + 2):
-        oid = dec.orbit_id_of(g, x)
+        oid = dec.orbit_id_of(x)
         if c != 0:
             assert oid != "fixed"
 
@@ -154,3 +154,59 @@ def test_orbit_index_matches_action(sigma, c, x, y):
         assert (g ** n).apply(x) == y
     else:
         assert y not in brute_orbit(g, x)
+
+
+def brute_indices(g, x, steps):
+    """Independent oracle: the least-magnitude n, positive on ties, with
+    (x)g^n = y, for every y within steps of x along its orbit."""
+    ginv = g.inverse()
+    found = {x: 0}
+    fwd = bwd = x
+    for n in range(1, steps + 1):
+        fwd = g.apply(fwd)
+        found.setdefault(fwd, n)
+        bwd = ginv.apply(bwd)
+        found.setdefault(bwd, -n)
+    return found
+
+
+def orbit_len(g, x, steps):
+    """The length of the finite orbit of x, or 0 if none is seen within steps."""
+    y = g.apply(x)
+    for n in range(1, steps + 1):
+        if y == x:
+            return n
+        y = g.apply(y)
+    return 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_perms(), st.integers(min_value=-3, max_value=3))
+def test_orbit_coordinates_against_brute_walk(sigma, c):
+    g = GroupElement(sigma, c)
+    dec = decompose(g)
+    m, d = g.eventual_bound(), abs(c)
+    W = m + d + 3
+    window = range(-W, W + 1)
+    # two points of the window are at most 2W + 1 steps apart on one orbit
+    steps = 2 * W + 2
+    for x in window:
+        oid, n = dec.coord(x)
+        assert dec.orbit_id_of(g.apply(x)) == oid
+        if oid.startswith("inf"):
+            assert dec.coord(g.apply(x))[1] == n + 1
+        ref = brute_indices(g, x, steps)
+        for y in window:
+            assert orbit_index(g, x, y) == ref.get(y), (str(g), x, y)
+    if d == 0:
+        return
+    w = in_class_tk(g, d)
+    assert (w is None) == any(orbit_len(g, x, steps) for x in window)
+    if w is None:
+        return
+    for j, seed in enumerate(w.seeds):
+        # the j-th orbit is the one whose far-positive tail has residue j
+        start = W + 1 + ((j - (W + 1)) % d)
+        orbit = brute_indices(g, start, 2 * steps)
+        assert seed == min(orbit, key=lambda x: (abs(x), -x)), (str(g), j)
+
