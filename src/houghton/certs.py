@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .elem import (
     ElemError,
     Group,
     GroupElement,
     class_tk_relabel,
+    identity,
     in_class_tk,
     member,
     parse_element,
@@ -37,6 +38,12 @@ from .orbits import decompose
 
 class CertError(ValueError):
     pass
+
+
+# The largest |shift| of an element whose orbits the kernel walks: the walk
+# in orbits.decompose, and the window of the negative variants, grow
+# linearly with it.
+MAX_SHIFT = 10 ** 4
 
 
 Word = Tuple[Tuple[str, int], ...]
@@ -101,17 +108,24 @@ def _named(env: Dict[str, GroupElement], name) -> Optional[GroupElement]:
     return env.get(name) if isinstance(name, str) else None
 
 
-def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
-    from .elem import identity
+def _shift_error(gs: Iterable[GroupElement]) -> Optional[str]:
+    """Why the kernel will not walk the orbits of gs, or None."""
+    for g in gs:
+        if abs(g.shift) > MAX_SHIFT:
+            return "|shift| %d exceeds the limit %d" % (abs(g.shift), MAX_SHIFT)
+    return None
 
-    out = identity()
+
+def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
+    out = None
     for name, exp in word:
         if _named(env, name) is None:
             raise CertError("unknown name %r in word" % (name,))
         if not _is_int(exp):
             raise CertError("non-integer exponent in word")
-        out = out * (env[name] ** exp)
-    return out
+        letter = env[name] ** exp
+        out = letter if out is None else out * letter
+    return identity() if out is None else out
 
 
 # -- positive axioms ---------------------------------------------------------
@@ -132,6 +146,9 @@ def _axiom_gcd_criterion(env, facts, params) -> Optional[str]:
     d = abs(s.shift)
     if d < 1:
         return "gcd_criterion: s is finitary"
+    err = _shift_error([s])
+    if err:
+        return "gcd_criterion: %s" % err
     dec = decompose(s)
     if dec.finite:
         return "gcd_criterion: s has finite orbits"
@@ -193,6 +210,9 @@ def _axiom_alt_basis(env, facts, params) -> Optional[str]:
         return "alt_basis: bad base/c parameters"
     if abs(u.shift) != c:
         return "alt_basis: step element shift is not +-%d" % c
+    err = _shift_error([u])
+    if err:
+        return "alt_basis: %s" % err
     if u.eventual_bound() > base:
         return "alt_basis: step element support reaches beyond the base"
     if decompose(u).finite:
@@ -228,6 +248,9 @@ def _axiom_odd_even_mix(env, facts, params) -> Optional[str]:
         return "odd_even_mix: unknown element name"
     if not any(f[0] == "alt_on_orbit" and f[1] == s_name for f in facts):
         return "odd_even_mix: no alt_on_orbit fact for %r" % s_name
+    err = _shift_error([s])
+    if err:
+        return "odd_even_mix: %s" % err
     dec = decompose(s)
     if len(dec.infinite) != 2 or dec.finite:
         return "odd_even_mix: s does not have exactly two orbits, all infinite"
@@ -482,6 +505,8 @@ _NEGATIVES = {
     "imprimitivity3": _neg_imprimitivity3,
     "not_in_group": _neg_not_in_group,
 }
+# the variants that decompose generators or scan a window set by their shifts
+_WALKING_NEGATIVES = ("invariant_set", "block_system", "imprimitivity3")
 
 
 def verify_negative(cert: NegativeCertificate) -> VerifyResult:
@@ -490,6 +515,10 @@ def verify_negative(cert: NegativeCertificate) -> VerifyResult:
     fn = _NEGATIVES.get(cert.variant)
     if fn is None:
         return _fail("unknown negative variant %r" % cert.variant)
+    if cert.variant in _WALKING_NEGATIVES:
+        err = _shift_error(cert.generators.values())
+        if err:
+            return _fail("%s: %s" % (cert.variant, err))
     return fn(cert)
 
 
@@ -545,31 +574,58 @@ def cert_to_json(cert) -> str:
     return json.dumps(cert_to_dict(cert), indent=2, sort_keys=True)
 
 
-def cert_from_dict(data: dict):
+def _object(data, what: str) -> dict:
+    """data itself when it is a JSON object, else CertError."""
     if not isinstance(data, dict):
-        raise CertError("certificate must be a JSON object")
+        raise CertError("%s must be a JSON object" % what)
+    return data
+
+
+def _fields(body, kind: str, keys: Sequence[str]) -> dict:
+    """The body of a step of this kind, which must hold every key in keys."""
+    body = _object(body, "%s step" % kind)
+    for key in keys:
+        if key not in body:
+            raise CertError("%s step needs %r" % (kind, key))
+    return body
+
+
+def cert_from_dict(data: dict):
+    data = _object(data, "certificate")
+    if not isinstance(data.get("target"), str):
+        raise CertError("bad certificate header: target must be a string")
+    generators = _object(data.get("generators"), "generators")
     try:
         target = parse_group(data["target"])
-        gens = {n: parse_element(s) for n, s in data["generators"].items()}
-    except (KeyError, TypeError, ElemError) as exc:
+        gens = {n: parse_element(s) for n, s in generators.items()}
+    except ElemError as exc:
         raise CertError("bad certificate header: %s" % exc) from exc
     if "negative" in data:
-        neg = dict(data["negative"])
+        neg = dict(_object(data["negative"], "negative"))
         variant = neg.pop("variant", None)
         if not isinstance(variant, str):
             raise CertError("negative certificate needs a variant")
         return NegativeCertificate(target=target, generators=gens, variant=variant, params=neg)
+    raw_steps = data.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise CertError("steps must be a list")
     steps: List[Step] = []
-    for raw in data.get("steps", []):
+    for raw in raw_steps:
         if not isinstance(raw, dict) or len(raw) != 1:
             raise CertError("bad step %r" % (raw,))
         (kind, body), = raw.items()
         if kind == "derive":
+            body = _fields(body, kind, ("name", "word"))
             steps.append(Derive(name=body["name"], word=_word_from_json(body["word"])))
         elif kind == "check":
-            steps.append(CheckEqual(name=body["name"], expected=parse_element(body["expected"])))
+            body = _fields(body, kind, ("name", "expected"))
+            try:
+                expected = parse_element(body["expected"])
+            except ElemError as exc:
+                raise CertError("check step: %s" % exc) from exc
+            steps.append(CheckEqual(name=body["name"], expected=expected))
         elif kind == "axiom":
-            body = dict(body)
+            body = dict(_object(body, "axiom step"))
             variant = body.pop("variant", None)
             if not isinstance(variant, str):
                 raise CertError("axiom step needs a variant")
@@ -582,6 +638,7 @@ def cert_from_dict(data: dict):
 def cert_from_json(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise CertError("invalid JSON: %s" % exc) from exc
     return cert_from_dict(data)

@@ -755,14 +755,17 @@ def _nonalt_walk(
     """
     k, q, c, base = frame.k, frame.q, frame.c, frame.base
     nu = b.env["nu"]
-    vcache: Dict[int, Tuple[GroupElement, GroupElement]] = {}
+    # per delta: the support of the h-translate of nu, its map and inverse map
+    vcache: Dict[int, Tuple[frozenset, Dict[int, int], Dict[int, int]]] = {}
     names_by_delta: Dict[int, str] = {}
     fcount = [0]
 
-    def translate_of_nu(delta: int) -> Tuple[GroupElement, GroupElement]:
+    def translate_of_nu(delta: int) -> Tuple[frozenset, Dict[int, int], Dict[int, int]]:
         if delta not in vcache:
             val = nu.conjugate(h ** (delta // k))
-            vcache[delta] = (val, val.inverse())
+            supp = val.fin.support
+            fwd = {x: val.apply(x) for x in supp}
+            vcache[delta] = (supp, fwd, {y: x for x, y in fwd.items()})
         return vcache[delta]
 
     def conjugator_name(delta: int) -> str:
@@ -779,12 +782,11 @@ def _nonalt_walk(
                 delta = p - (blockstart + u)
                 if delta % k:
                     continue
-                val, vinv = translate_of_nu(delta)
-                supp = val.fin.support
-                if p not in supp or supp & others:
+                supp, fwd, inv = translate_of_nu(delta)
+                if p not in supp or not supp.isdisjoint(others):
                     continue
-                yield (delta, 1, val.apply(p))
-                yield (delta, -1, vinv.apply(p))
+                yield (delta, 1, fwd[p])
+                yield (delta, -1, inv[p])
 
     spread = c + q + 5
     far = [b0 + (i + 2) * spread for i in range(3)]

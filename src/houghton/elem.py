@@ -44,12 +44,13 @@ class GroupElement:
         """(x)(g*h) = ((x)g)h.
 
         In normal form: sigma_g t^c * sigma_h t^d = sigma_g * tau * t^(c+d)
-        where tau = t^c sigma_h t^-c moves the support of sigma_h by -c.
+        where tau = t^c sigma_h t^-c moves the support of sigma_h by -c;
+        the product x -> ((x)sigma_g + c)sigma_h - c is formed in one pass.
         """
         if not isinstance(other, GroupElement):
             return NotImplemented
-        tau = other.fin.translate(-self.shift)
-        return GroupElement(self.fin * tau, self.shift + other.shift)
+        fin = self.fin._mul_translated(other.fin, -self.shift)
+        return GroupElement(fin, self.shift + other.shift)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.fin.inverse().translate(self.shift), -self.shift)
@@ -57,15 +58,18 @@ class GroupElement:
     def __pow__(self, n: int) -> "GroupElement":
         if n == 0:
             return identity()
+        if not self.shift:
+            return GroupElement(self.fin ** n, 0)
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        out = identity()
-        while n:
+        out = None
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def conjugate(self, w: "GroupElement") -> "GroupElement":
         """self^w = w^-1 * self * w."""

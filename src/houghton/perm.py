@@ -3,6 +3,11 @@
 Points are plain ints and permutations act on the right: we write (x)g for
 the image of x under g, and the product g*h means "apply g first, then h".
 Only non-fixed points are stored, so equality and hashing are exact.
+
+Maps are validated where they come from outside: ``FinPerm(mapping)``,
+``cycle``/``from_cycles`` and ``parse``.  Products, inverses, powers,
+conjugates and translates of valid permutations are bijections by
+construction and skip the check (``_trusted``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class FinPerm:
 
     def __init__(self, mapping: Dict[int, int] | None = None):
         self._map = _validate_mapping(dict(mapping) if mapping else {})
-        self._hash = hash(frozenset(self._map.items()))
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -86,6 +91,8 @@ class FinPerm:
         return isinstance(other, FinPerm) and self._map == other._map
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash
 
     def __len__(self) -> int:
@@ -97,33 +104,57 @@ class FinPerm:
         """(x)(self*other) = ((x)self)other."""
         if not isinstance(other, FinPerm):
             return NotImplemented
+        return self._mul_translated(other, 0)
+
+    def _mul_translated(self, other: "FinPerm", d: int) -> "FinPerm":
+        """self * other.translate(d) in one pass: x -> ((x)self - d)other + d."""
+        a, b = self._map, other._map
+        if not b:
+            return self
+        if not a:
+            return other.translate(d)
         m = {}
-        for x in set(self._map) | set(other._map):
-            y = other.apply(self.apply(x))
-            if y != x:
-                m[x] = y
-        return FinPerm(m)
+        get = b.get
+        for x, y in a.items():
+            y -= d
+            z = get(y, y) + d
+            if z != x:
+                m[x] = z
+        for u, v in b.items():
+            x = u + d
+            if x not in a:
+                m[x] = v + d
+        return _trusted(m)
 
     def inverse(self) -> "FinPerm":
-        return FinPerm({v: k for k, v in self._map.items()})
+        return _trusted({v: k for k, v in self._map.items()})
 
     def __pow__(self, n: int) -> "FinPerm":
-        if n == 0:
-            return FinPerm()
-        base = self if n > 0 else self.inverse()
-        out = FinPerm()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        """Rotate every cycle by n mod its length."""
+        if n == 1:
+            return self
+        if n == -1:
+            return self.inverse()
+        m = {}
+        for cyc in self.cycles():
+            size = len(cyc)
+            r = n % size
+            if r:
+                for i, x in enumerate(cyc):
+                    m[x] = cyc[(i + r) % size]
+        return _trusted(m)
 
     def conjugate(self, w: "FinPerm") -> "FinPerm":
         """self^w = w^-1 * self * w; maps cycle (a b c) to ((a)w (b)w (c)w)."""
-        return w.inverse() * self * w
+        get = w._map.get
+        return _trusted({get(x, x): get(y, y) for x, y in self._map.items()})
 
     def translate(self, d: int) -> "FinPerm":
         """Shift the support by d: x -> x+d pointwise (conjugation by the
         translation z -> z+d)."""
-        return FinPerm({k + d: v + d for k, v in self._map.items()})
+        if not d or not self._map:
+            return self
+        return _trusted({k + d: v + d for k, v in self._map.items()})
 
     # -- structure ---------------------------------------------------------
 
@@ -215,3 +246,12 @@ class FinPerm:
             cycles.append(tuple(pts))
             pos = end + 1
         return FinPerm.from_cycles(cycles)
+
+
+def _trusted(mapping: Dict[int, int]) -> FinPerm:
+    """A FinPerm owning mapping, which must already be a bijection without
+    fixed points; only products of valid permutations are built this way."""
+    p = object.__new__(FinPerm)
+    p._map = mapping
+    p._hash = None
+    return p

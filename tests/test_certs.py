@@ -1,10 +1,13 @@
+import json
 import random
+import time
 
 import pytest
 
 from houghton.perm import FinPerm
 from houghton.elem import G, H2, finitary, make_s, parse_element
 from houghton.certs import (
+    MAX_SHIFT,
     Axiom,
     CertError,
     CheckEqual,
@@ -319,6 +322,8 @@ def test_from_json_bad_input():
         cert_from_json('{"target": "G1"}')
     with pytest.raises(CertError):
         cert_from_json('{"target": "X9", "generators": {}}')
+    with pytest.raises(CertError):
+        cert_from_json("[" * 100000)
 
 
 def test_unknown_axiom_variant_rejected():
@@ -418,3 +423,80 @@ def test_block_system_with_wide_relabel_element():
                                {"relabel": str(s), "modulus": 2})
     res = verify_negative(cert)
     assert not res.ok and "affine" in res.reason
+
+
+# -- malformed JSON: CertError, never another exception -----------------------
+
+_GOOD = {
+    "target": "G1",
+    "generators": {"a": "(1 2 3)", "s": "t"},
+    "steps": [
+        {"derive": {"name": "b", "word": [["s", -1], ["a", 1], ["s", 1]]}},
+        {"check": {"name": "b", "expected": "(2 3 4)"}},
+        {"axiom": {"variant": "gcd_criterion", "cycle": "b", "s": "s"}},
+    ],
+}
+
+
+def _mutated(**changes):
+    data = json.loads(json.dumps(_GOOD))
+    data.update(changes)
+    return json.dumps(data)
+
+
+def _with_step(i, step):
+    steps = json.loads(json.dumps(_GOOD["steps"]))
+    steps[i] = step
+    return _mutated(steps=steps)
+
+
+@pytest.mark.parametrize("text", [
+    _mutated(target=5),
+    _mutated(generators=["t"]),
+    _mutated(negative=5),
+    _mutated(steps=5),
+    _with_step(0, {"derive": [1]}),
+    _with_step(0, {"derive": {"name": "b"}}),
+    _with_step(1, {"check": {"name": "b"}}),
+    _with_step(2, {"axiom": 5}),
+    _with_step(1, {"check": {"name": "b", "expected": "(1 1)"}}),
+], ids=["target", "generators", "negative", "steps", "derive-body", "derive-word",
+        "check-expected", "axiom-body", "expected-non-bijection"])
+def test_malformed_certificate_raises_cert_error(text):
+    assert verify(cert_from_json(json.dumps(_GOOD))).ok
+    with pytest.raises(CertError):
+        cert_from_json(text)
+
+
+# -- the shift limit: orbit walks are refused before they start -----------------
+
+_HUGE = "t^%d" % 10 ** 12
+
+
+@pytest.mark.parametrize("cert", [
+    pos(G(1), gens(c="(1 2 3)", u=_HUGE),
+        [Axiom("alt_basis", {"step": "u", "base": 0, "c": 10 ** 12, "cycles": ["c"]})]),
+    neg(G(2), gens(s="t^2", u=_HUGE), "invariant_set", element="s", orbits=["inf0"]),
+    neg(G(2), gens(a="(0 2 4)", u=_HUGE), "block_system", relabel="t^1", modulus=2),
+    neg(G(3), gens(a="(1 2 3)", h=_HUGE), "imprimitivity3", points=[1, 2, 3], h="h"),
+], ids=["alt_basis", "invariant_set", "block_system", "imprimitivity3"])
+def test_shift_beyond_limit_rejected_quickly(cert):
+    start = time.perf_counter()
+    res = verify(cert)
+    assert time.perf_counter() - start < 1.0
+    assert not res.ok and "exceeds the limit %d" % MAX_SHIFT in res.reason
+
+
+def test_one_step_gcd_certificate_with_huge_shift_rejected_within_a_second():
+    text = json.dumps({
+        "target": "G1",
+        "generators": {"a": "(1 2 3)", "s": _HUGE},
+        "steps": [{"axiom": {"variant": "gcd_criterion", "cycle": "a", "s": "s"}}],
+    })
+    start = time.perf_counter()
+    res = verify(cert_from_json(text))
+    assert time.perf_counter() - start < 1.0
+    assert not res.ok and "exceeds the limit %d" % MAX_SHIFT in res.reason
+    at_limit = pos(G(1), gens(a="(1 2 3)", s="t^%d" % MAX_SHIFT),
+                   [Axiom("gcd_criterion", {"cycle": "a", "s": "s"})])
+    assert "limit" not in verify(at_limit).reason

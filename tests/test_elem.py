@@ -90,7 +90,8 @@ def test_parse_bare_t():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "t^", "x", "(1 2)t^^2", "(1 2) s", "t^2 (1 2)"]:
+    for bad in ["", "t^", "x", "(1 2)t^^2", "(1 2) s", "t^2 (1 2)",
+                "(1 1)", "(1 2 1) t", "(3 4 3) t^-2"]:
         with pytest.raises(ElemError):
             parse_element(bad)
 
@@ -240,3 +241,53 @@ def test_parse_element_star_and_e_forms():
     assert parse_element("e t^-1") == t(-1)
     assert parse_element("(1 2)*t^2") == parse_element("(1 2) t^2")
     assert parse_element("(1, 2, 3) * t^-1") == parse_element("(1 2 3) t^-1")
+
+
+# -- trusted products against pointwise references ----------------------------
+#
+# The product, inverse, power and conjugate of elements are formed without
+# validating the finitary part.  Each reference evaluates the action point by
+# point on a window beyond which the result is a plain translation, and
+# builds the finitary part through the validating FinPerm constructor.
+
+
+def ref_mul(g, h):
+    c = g.shift + h.shift
+    w = g.eventual_bound() + h.eventual_bound() + abs(g.shift) + 1
+    return GroupElement(FinPerm({x: h.apply(g.apply(x)) - c for x in range(-w, w + 1)}), c)
+
+
+def ref_inverse(g):
+    c = g.shift
+    w = g.eventual_bound() + abs(c) + 1
+    pre = {g.apply(x): x for x in range(-w - abs(c) - 1, w + abs(c) + 2)}
+    return GroupElement(FinPerm({y: pre[y] + c for y in range(-w, w + 1)}), -c)
+
+
+def ref_pow(g, n):
+    base = g if n >= 0 else ref_inverse(g)
+    out = identity()
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+def ref_conjugate(g, w):
+    return ref_mul(ref_mul(ref_inverse(w), g), w)
+
+
+@given(elements(), elements(), st.integers(min_value=-9, max_value=9))
+def test_trusted_products_match_pointwise_reference(g, h, n):
+    assert g * h == ref_mul(g, h)
+    assert g.inverse() == ref_inverse(g)
+    assert g ** n == ref_pow(g, n)
+    assert g.conjugate(h) == ref_conjugate(g, h)
+
+
+@given(elements(), elements())
+def test_equal_elements_from_different_routes_hash_equal(g, h):
+    p = g * h
+    routes = [p, ref_mul(g, h), parse_element(str(p)), g * (h * g) * g.inverse(),
+              (p ** -3) ** -1 * p.inverse() ** 2]
+    assert all(r == p for r in routes)
+    assert len(set(routes)) == 1

@@ -121,14 +121,15 @@ def test_parse_rejects_unicode_minus():
 
 
 def test_parse_errors():
-    for bad in ["", "(1 2", "1 2)", "(a b)", "( )"]:
+    for bad in ["", "(1 2", "1 2)", "(a b)", "( )", "(1 1)", "(1 2 1)", "(0 -0)"]:
         with pytest.raises(PermError):
             FinPerm.parse(bad)
 
 
 def test_bad_mapping_rejected():
-    with pytest.raises(PermError):
-        FinPerm({1: 2, 3: 2})
+    for bad in [{1: 2, 3: 2}, {1: 2}, {1: 2, 2: 2}, {1: 3, 2: 3, 3: 1}, {1: "2", 2: 1}]:
+        with pytest.raises(PermError):
+            FinPerm(bad)
 
 
 points = st.integers(min_value=-20, max_value=20)
@@ -164,3 +165,74 @@ def test_parity_multiplicative(a, b):
 
 def test_parse_commas_as_whitespace():
     assert FinPerm.parse("(1, 2, 3)(7,9)") == FinPerm.parse("(1 2 3)(7 9)")
+
+
+# -- trusted paths against pointwise references --------------------------------
+#
+# Products, inverses, powers, conjugates and translates build their maps
+# without validation.  Each reference below evaluates the formula point by
+# point and passes the result through the validating constructor, so a
+# leaked fixed point or a non-bijection shows up as an inequality or a
+# PermError.
+
+
+def ref_mul(a, b):
+    return FinPerm({x: b.apply(a.apply(x)) for x in a.support | b.support})
+
+
+def ref_inverse(a):
+    return FinPerm({a.apply(x): x for x in a.support})
+
+
+def ref_translate(a, d):
+    return FinPerm({x + d: a.apply(x) + d for x in a.support})
+
+
+def ref_pow(a, n):
+    base = a if n >= 0 else ref_inverse(a)
+    out = FinPerm()
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+def ref_conjugate(a, w):
+    return ref_mul(ref_mul(ref_inverse(w), a), w)
+
+
+@given(perms(), perms(), st.integers(min_value=-30, max_value=30),
+       st.integers(min_value=-13, max_value=13))
+def test_trusted_paths_match_pointwise_reference(a, b, d, n):
+    assert a * b == ref_mul(a, b)
+    assert a.inverse() == ref_inverse(a)
+    assert a.translate(d) == ref_translate(a, d)
+    assert a ** n == ref_pow(a, n)
+    assert a.conjugate(b) == ref_conjugate(a, b)
+
+
+@given(perms(), perms())
+def test_equal_perms_from_different_routes_hash_equal(a, b):
+    p = a * b
+    routes = [
+        p,
+        ref_mul(a, b),
+        FinPerm.parse(str(p)),
+        p.translate(7).translate(-7),
+        a * (b * a) * a.inverse(),
+        (p ** -1) ** -1,
+        p ** (p.order() + 1),
+    ]
+    assert all(r == p for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    assert len(set(routes)) == 1
+    ident = [FinPerm(), FinPerm.identity(), p * p.inverse(), p ** 0, p ** p.order()]
+    assert len(set(ident)) == 1 and ident[2].is_identity()
+
+
+def test_power_rotates_cycles():
+    c = FinPerm.cycle(1, 2, 3)
+    assert c ** 200000 == c ** 2 == c.inverse()
+    assert c ** (10 ** 12) == c ** -(10 ** 12 + 1) == c ** 1 == c
+    mixed = FinPerm.from_cycles([(1, 2, 3), (4, 5), (6, 7, 8, 9)])
+    for n in range(-13, 14):
+        assert mixed ** n == ref_pow(mixed, n)
