@@ -45,6 +45,11 @@ class CertError(ValueError):
 # linearly with it.
 MAX_SHIFT = 10 ** 4
 
+# The largest support bound of a product the kernel computes: a power g^n of
+# g = sigma t^c moves at most |supp sigma| points when c = 0 and at most
+# |n| |supp sigma| otherwise, and a product at most the sum of its factors'.
+MAX_SUPPORT = 10 ** 5
+
 
 Word = Tuple[Tuple[str, int], ...]
 
@@ -119,11 +124,20 @@ def _shift_error(gs: Iterable[GroupElement]) -> Optional[str]:
 def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
     out = None
     for name, exp in word:
-        if _named(env, name) is None:
+        g = _named(env, name)
+        if g is None:
             raise CertError("unknown name %r in word" % (name,))
         if not _is_int(exp):
             raise CertError("non-integer exponent in word")
-        letter = env[name] ** exp
+        bound = len(g.fin) if g.shift == 0 else abs(exp) * len(g.fin)
+        if out is not None:
+            bound += len(out.fin)
+        if bound > MAX_SUPPORT:
+            raise CertError(
+                "support bound %d of %r^%d exceeds the limit %d"
+                % (bound, name, exp, MAX_SUPPORT)
+            )
+        letter = g ** exp
         out = letter if out is None else out * letter
     return identity() if out is None else out
 

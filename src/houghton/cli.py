@@ -11,15 +11,15 @@ import json
 import sys
 from typing import List, Optional
 
-from .perm import FinPerm, PermError
+from .perm import PermError
 from .elem import (
     ElemError,
     G,
     Group,
     GroupElement,
-    H2,
     in_class_tk,
     parse_element,
+    parse_group,
 )
 from .orbits import decompose
 from .certs import (
@@ -57,22 +57,6 @@ class Reject(Exception):
     """A verified negative outcome; carries the report already printed."""
 
 
-def _parse_group(text: str) -> Group:
-    s = text.strip()
-    if s == "H2":
-        return H2
-    if s == "G1":
-        return G(1)
-    if s == "G2":
-        return G(2)
-    if s.startswith("Gk:"):
-        try:
-            return G(int(s[3:]))
-        except (ValueError, ElemError) as exc:
-            raise UsageError("bad group %r: %s" % (text, exc))
-    raise UsageError("bad group %r (want G1, G2, Gk:<k>, or H2)" % text)
-
-
 def _elem(text: str) -> GroupElement:
     try:
         return parse_element(text)
@@ -83,7 +67,7 @@ def _elem(text: str) -> GroupElement:
 def _need_group(args) -> Group:
     if args.group is None:
         raise UsageError("this command needs --group")
-    return _parse_group(args.group)
+    return parse_group(args.group)
 
 
 def _need_gk(args) -> Group:
@@ -374,7 +358,7 @@ def _build_parser() -> _Parser:
 
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
-        sp.add_argument("--group", help="G1, G2, Gk:<k>, or H2")
+        sp.add_argument("--group", help="H2, or G_k as G<k>, G_<k> or Gk:<k>")
         sp.add_argument("--json", action="store_true")
         sp.set_defaults(fn=fn)
         return sp

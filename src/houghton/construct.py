@@ -10,9 +10,10 @@ certificate, never a wrongly accepted one.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .perm import FinPerm, PermError
+from .perm import FinPerm
 from .elem import (
     ElemError,
     G,
@@ -25,9 +26,9 @@ from .elem import (
     member,
     t,
 )
-from .orbits import decompose
 from .certs import (
     Axiom,
+    CertError,
     CheckEqual,
     Derive,
     NegativeCertificate,
@@ -85,7 +86,10 @@ class _Builder:
 
     def derive(self, name: str, word: Sequence[Tuple[str, int]]) -> GroupElement:
         w = _merge_word(word)
-        val = eval_word(self.env, w)
+        try:
+            val = eval_word(self.env, w)
+        except CertError as exc:
+            raise ConstructError("cannot derive %r: %s" % (name, exc)) from exc
         if name in self.env:
             raise ConstructError("name %r already used" % name)
         self.env[name] = val
@@ -129,52 +133,41 @@ class _Builder:
 # search over such moves walks one point of X at a time to a chosen target.
 
 
-def _walk_point(
-    orient: Tuple[int, int, int],
+def _bfs_walk(
     start: int,
     target: int,
     others: frozenset,
+    neighbours: Callable[[int, frozenset], Iterator[Tuple[int, int, int]]],
     lo: int,
     hi: int,
 ) -> List[Tuple[int, int]]:
-    """Moves (m, e) walking a point from start to target.
+    """Moves (m, e) of a shortest walk from start to target inside [lo, hi].
 
-    Each move conjugates the tracked cycle by (the e-th power of) the
-    oriented 3-cycle ``orient`` translated by m; the other tracked points
-    must stay outside the translated support.
+    neighbours(p, others) yields the moves (m, e, next point) open at p
+    while the other tracked points are others, always in the same order,
+    so the walk found is a function of the input alone.
     """
     if start == target:
         return []
-    u = orient
     seen = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
-            for i in range(3):
-                m = p - u[i]
-                anchors = (u[0] + m, u[1] + m, u[2] + m)
-                if any(a in others for a in anchors):
+            for m, e, p2 in neighbours(p, others):
+                if p2 < lo or p2 > hi or p2 in seen:
                     continue
-                for e in (1, -1):
-                    p2 = u[(i + e) % 3] + m
-                    if p2 < lo or p2 > hi or p2 in seen:
-                        continue
-                    seen[p2] = (p, m, e)
-                    if p2 == target:
-                        moves = []
-                        cur = p2
-                        while seen[cur] is not None:
-                            prev, mm, ee = seen[cur]
-                            moves.append((mm, ee))
-                            cur = prev
-                        moves.reverse()
-                        return moves
-                    nxt.append(p2)
+                seen[p2] = (p, m, e)
+                if p2 == target:
+                    moves = []
+                    while seen[p2] is not None:
+                        p2, m, e = seen[p2]
+                        moves.append((m, e))
+                    moves.reverse()
+                    return moves
+                nxt.append(p2)
         frontier = nxt
-    raise ConstructError(
-        "no conjugation walk from %d to %d" % (start, target)
-    )
+    raise ConstructError("no conjugation walk from %d to %d" % (start, target))
 
 
 def _reduction_moves(
@@ -183,13 +176,29 @@ def _reduction_moves(
     plans: Sequence[Tuple[str, int]],
     margin: int,
 ) -> List[Tuple[int, int]]:
+    """Moves walking each planned point to its target in turn.
+
+    A move (m, e) conjugates the tracked cycle by the e-th power of the
+    oriented 3-cycle ``orient`` translated by m; the other tracked points
+    must stay outside the translated support.
+    """
+    u = orient
+
+    def neighbours(p: int, others: frozenset):
+        for i in range(3):
+            m = p - u[i]
+            if any(a + m in others for a in u):
+                continue
+            for e in (1, -1):
+                yield m, e, u[(i + e) % 3] + m
+
     pts = list(tracked.values()) + [tgt for _, tgt in plans]
     lo = min(pts) - margin
     hi = max(pts) + margin
     moves: List[Tuple[int, int]] = []
     for pid, tgt in plans:
         others = frozenset(v for k, v in tracked.items() if k != pid)
-        moves.extend(_walk_point(orient, tracked[pid], tgt, others, lo, hi))
+        moves.extend(_bfs_walk(tracked[pid], tgt, others, neighbours, lo, hi))
         tracked[pid] = tgt
     return moves
 
@@ -384,8 +393,6 @@ def two_gen_alpha(k: int) -> ConstructionTranscript:
     """
     if k < 3:
         raise ConstructError("need k >= 3")
-    from itertools import combinations
-
     twok = 2 * k
     triples = list(combinations(range(1, twok + 1), 3))
     n = len(triples)
@@ -473,172 +480,129 @@ class PartnerAltResult:
     transcript: ConstructionTranscript
 
 
-def _chain_g1(
-    b: _Builder,
-    seed_name: str,
-    sigma: FinPerm,
-    pos: Dict[int, int],
-) -> str:
-    """Overlap-trick chain turning a finitary seed into a coprime 3-cycle.
+def _seed_pattern_ok(vals: Sequence[int]) -> bool:
+    """Two positions of one parity two apart plus one of the other parity."""
+    evens = [v for v in vals if v % 2 == 0]
+    odds = [v for v in vals if v % 2]
+    pair, lone = (evens, odds) if len(evens) == 2 else (odds, evens)
+    return len(pair) == 2 and len(lone) == 1 and abs(pair[0] - pair[1]) == 2
 
-    Conjugating the seed by its own translate that meets the seed's
-    support only at the top point replaces that point, and multiplying
-    by the inverse leaves a 3-cycle whose orbit-index gaps are coprime.
-    Returns the name of the derived 3-cycle.
+
+def _layout_ok(sigma: FinPerm, pos: Dict[int, int], k: int) -> bool:
+    """Whether h = make_s(omega, k), k = 1 or 2, seals sigma via _chain.
+
+    pos holds the orbit position under h, omega^-1(p), of every point p of
+    supp(sigma).  For G_2 a 3-cycle is its own g2_seed and needs the seed
+    pattern itself.  Otherwise the chain derives the 3-cycle (a y m): y is
+    the top position, a that of the top point's preimage and m that of the
+    bottom point's image plus the span.  G_1 needs coprime gaps y - a and
+    m - y; G_2 an even span and a seed pattern on (a, y, m).
     """
-    vals = sorted(pos.values())
-    delta = vals[-1] - vals[0]
-    if delta < 1:
-        raise ConstructError("degenerate support")
-    b.derive(seed_name + "_a", [("h", -delta), (seed_name, 1), ("h", delta)])
-    b.derive(
-        seed_name + "_p",
-        [(seed_name + "_a", -1), (seed_name, 1), (seed_name + "_a", 1)],
-    )
-    b.derive(seed_name + "_r", [(seed_name, 1), (seed_name + "_p", -1)])
-    rv = b.env[seed_name + "_r"]
+    supp = sigma.support
+    if k == 2 and len(supp) == 3:
+        return _seed_pattern_ok([pos[p] for p in supp])
+    top = max(supp, key=pos.__getitem__)
+    bot = min(supp, key=pos.__getitem__)
+    y = pos[top]
+    span = y - pos[bot]
+    a = pos[sigma.inverse().apply(top)]
+    m = pos[sigma.apply(bot)] + span
+    if k == 1:
+        return math.gcd(y - a, m - y) == 1
+    return span % 2 == 0 and _seed_pattern_ok((a, y, m))
+
+
+def _chain(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> str:
+    """The name of a 3-cycle, derived from seed, that h seals for G_k.
+
+    pos holds the orbit positions of supp(seed) under h, as in _layout_ok.
+    For G_2 a 3-cycle seed is returned as it is.  Otherwise the seed is
+    conjugated by its own h-translate by the span, which meets the seed's
+    support only at the top point: that point is renamed, and the
+    quotient with the seed is a 3-cycle.
+    """
+    if k == 2 and len(pos) == 3:
+        return seed
+    span = max(pos.values()) - min(pos.values())
+    if span < k or span % k:
+        raise ConstructError("span must be a positive multiple of %d" % k)
+    n = span // k
+    b.derive(seed + "_a", [("h", -n), (seed, 1), ("h", n)])
+    b.derive(seed + "_p", [(seed + "_a", -1), (seed, 1), (seed + "_a", 1)])
+    b.derive(seed + "_r", [(seed, 1), (seed + "_p", -1)])
+    rv = b.env[seed + "_r"]
     if rv.shift != 0 or not rv.fin.is_three_cycle():
         raise ConstructError("chain did not produce a 3-cycle")
-    b.pin(seed_name + "_r")
-    return seed_name + "_r"
+    b.pin(seed + "_r")
+    return seed + "_r"
 
 
-def _g1_gaps(sigma: FinPerm, pos: Dict[int, int]) -> Tuple[int, int]:
-    """Orbit-index gaps of the 3-cycle the overlap chain will produce."""
-    top = max(pos, key=lambda p: pos[p])
-    bot = min(pos, key=lambda p: pos[p])
-    a = pos[sigma.inverse().apply(top)]
-    y = pos[top]
-    m = pos[sigma.apply(bot)] + (y - pos[bot])
-    return (y - a, m - y)
+def _seal(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> PositiveCertificate:
+    """Chain the seed to a 3-cycle, close with the axiom for G_k, verify."""
+    variant = "gcd_criterion" if k == 1 else "g2_seed"
+    b.axiom(variant, {"cycle": _chain(b, seed, pos, k), "s": "h"})
+    return b.finish()
 
 
-def _g1_chain_ok(sigma: FinPerm, pos: Dict[int, int]) -> bool:
-    ga, gb = _g1_gaps(sigma, pos)
-    return math.gcd(ga, gb) == 1
+def _single_partner(sigma: FinPerm, partial: Dict[int, int], k: int) -> PartnerAltResult:
+    omega = _relabel(partial)
+    h = make_s(omega, k)
+    pos = _positions(omega, sigma.support)
+    if not _layout_ok(sigma, pos, k):
+        raise ConstructError("internal: canonical relabelling does not seal sigma")
+    b = _Builder(G(k), {"g": finitary(sigma), "h": h})
+    cert = _seal(b, "g", pos, k)
+    return PartnerAltResult(omega, h, ConstructionTranscript(dict(b.env), cert))
 
 
-def partner_alt_g1(sigma: FinPerm) -> PartnerAltResult:
-    """An even finitary omega with <sigma, s_omega> = G_1, certified."""
+def _even_support(sigma: FinPerm) -> List[int]:
     if not isinstance(sigma, FinPerm) or sigma.is_identity():
         raise ConstructError("need a nontrivial finitary permutation")
     if not sigma.is_even():
         raise ConstructError("need an even permutation")
-    supp = sorted(sigma.support)
+    return sorted(sigma.support)
+
+
+def partner_alt_g1(sigma: FinPerm) -> PartnerAltResult:
+    """An even finitary omega with <sigma, s_omega> = G_1, certified.
+
+    The top point sits on the last slot and its preimage just below it,
+    so the chain's first gap is 1.
+    """
+    supp = _even_support(sigma)
     top = supp[-1]
     pred = sigma.inverse().apply(top)
     others = [p for p in supp if p not in (top, pred)]
     partial = {p: i for i, p in enumerate(others)}
     partial[pred] = len(supp) - 2
     partial[top] = len(supp) - 1
-    omega = _relabel(partial)
-    h = make_s(omega, 1)
-    pos = _positions(omega, supp)
-    if not _g1_chain_ok(sigma, pos):
-        raise ConstructError("internal: canonical relabelling gaps not coprime")
-    b = _Builder(G(1), {"g": finitary(sigma), "h": h})
-    rname = _chain_g1(b, "g", sigma, pos)
-    b.axiom("gcd_criterion", {"cycle": rname, "s": "h"})
-    cert = b.finish()
-    return PartnerAltResult(omega, h, ConstructionTranscript(dict(b.env), cert))
-
-
-def _chain_g2(
-    b: _Builder,
-    seed_name: str,
-    sigma: FinPerm,
-    pos: Dict[int, int],
-) -> str:
-    """Overlap-trick chain for G_2; the translate moves by h-powers (2Z)."""
-    vals = sorted(pos.values())
-    delta = vals[-1] - vals[0]
-    if delta % 2 or delta < 2:
-        raise ConstructError("span must be a positive even number")
-    b.derive(seed_name + "_a", [("h", -delta // 2), (seed_name, 1), ("h", delta // 2)])
-    b.derive(
-        seed_name + "_p",
-        [(seed_name + "_a", -1), (seed_name, 1), (seed_name + "_a", 1)],
-    )
-    b.derive(seed_name + "_r", [(seed_name, 1), (seed_name + "_p", -1)])
-    rv = b.env[seed_name + "_r"]
-    if rv.shift != 0 or not rv.fin.is_three_cycle():
-        raise ConstructError("chain did not produce a 3-cycle")
-    b.pin(seed_name + "_r")
-    return seed_name + "_r"
-
-
-def _seed_pattern_ok(pts: Sequence[int]) -> bool:
-    evens = [p for p in pts if p % 2 == 0]
-    odds = [p for p in pts if p % 2]
-    pair, lone = (evens, odds) if len(evens) == 2 else (odds, evens)
-    return len(pair) == 2 and len(lone) == 1 and abs(pair[0] - pair[1]) == 2
-
-
-def _g2_points(sigma: FinPerm, pos: Dict[int, int]) -> Tuple[int, int, int]:
-    top = max(pos, key=lambda p: pos[p])
-    bot = min(pos, key=lambda p: pos[p])
-    a = pos[sigma.inverse().apply(top)]
-    y = pos[top]
-    m = pos[sigma.apply(bot)] + (y - pos[bot])
-    return (a, y, m)
-
-
-def _g2_chain_ok(sigma: FinPerm, pos: Dict[int, int]) -> bool:
-    vals = sorted(pos.values())
-    if (vals[-1] - vals[0]) % 2:
-        return False
-    return _seed_pattern_ok(_g2_points(sigma, pos))
+    return _single_partner(sigma, partial, 1)
 
 
 def partner_alt_g2(sigma: FinPerm) -> PartnerAltResult:
-    """An even finitary omega with <sigma, s_omega^2> = G_2, certified."""
-    if not isinstance(sigma, FinPerm) or sigma.is_identity():
-        raise ConstructError("need a nontrivial finitary permutation")
-    if not sigma.is_even():
-        raise ConstructError("need an even permutation")
-    supp = sorted(sigma.support)
+    """An even finitary omega with <sigma, s_omega^2> = G_2, certified.
+
+    A 3-cycle relabelled onto {0, 1, 2} is itself a seed.  Otherwise the
+    first edge q -> (q)sigma with a top point p and its preimage off it
+    goes on slots 0 and 2, that preimage on slot 1, the other points from
+    3 up and p on the next even slot: the chain yields (1, y, y + 2).
+    """
+    supp = _even_support(sigma)
     if len(supp) == 3:
-        # a 3-cycle relabelled onto {0, 1, 2} is itself a usable seed
-        omega = _relabel({p: i for i, p in enumerate(supp)})
-        h = make_s(omega, 2)
-        b = _Builder(G(2), {"g": finitary(sigma), "h": h})
-        b.axiom("g2_seed", {"cycle": "g", "s": "h"})
-        cert = b.finish()
-        return PartnerAltResult(omega, h, ConstructionTranscript(dict(b.env), cert))
-    partial = _g2_single_partial(sigma)
-    omega = _relabel(partial)
-    h = make_s(omega, 2)
-    pos = _positions(omega, supp)
-    if not _g2_chain_ok(sigma, pos):
-        raise ConstructError("internal: relabelling does not give a seed pattern")
-    b = _Builder(G(2), {"g": finitary(sigma), "h": h})
-    rname = _chain_g2(b, "g", sigma, pos)
-    b.axiom("g2_seed", {"cycle": rname, "s": "h"})
-    cert = b.finish()
-    return PartnerAltResult(omega, h, ConstructionTranscript(dict(b.env), cert))
-
-
-def _g2_designations(sigma: FinPerm):
-    supp = sorted(sigma.support)
+        return _single_partner(sigma, {p: i for i, p in enumerate(supp)}, 2)
+    inv = sigma.inverse()
     for q in supp:
         qg = sigma.apply(q)
         for p in supp:
-            pred = sigma.inverse().apply(p)
+            pred = inv.apply(p)
             if len({q, qg, pred, p}) < 4:
                 continue
             others = [x for x in supp if x not in (q, qg, pred, p)]
             partial = {q: 0, qg: 2, pred: 1}
-            slot = 3
-            for x in others:
-                partial[x] = slot
-                slot += 1
-            partial[p] = slot if slot % 2 == 0 else slot + 1
-            yield partial
-
-
-def _g2_single_partial(sigma: FinPerm) -> Dict[int, int]:
-    for partial in _g2_designations(sigma):
-        return partial
+            partial.update((x, 3 + i) for i, x in enumerate(others))
+            slot = 3 + len(others)
+            partial[p] = slot + slot % 2
+            return _single_partner(sigma, partial, 2)
     raise ConstructError("no usable designation for the seed relabelling")
 
 
@@ -782,41 +746,18 @@ def _nonalt_walk(
                 delta = p - (blockstart + u)
                 if delta % k:
                     continue
+                # h relabels t^k by frame.sigma (times a permutation far
+                # below it in a mixed pair) and p lies above both, so
+                # h^(delta/k) carries the block onto a set that holds p
                 supp, fwd, inv = translate_of_nu(delta)
-                if p not in supp or not supp.isdisjoint(others):
-                    continue
-                yield (delta, 1, fwd[p])
-                yield (delta, -1, inv[p])
+                if supp.isdisjoint(others):
+                    yield delta, 1, fwd[p]
+                    yield delta, -1, inv[p]
 
     spread = c + q + 5
     far = [b0 + (i + 2) * spread for i in range(3)]
     lo = base + q + 1
     hi = far[-1] + c + q + 5
-
-    def walk(start: int, target: int, others: frozenset):
-        if start == target:
-            return []
-        seen = {start: None}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for delta, e, p2 in neighbours(p, others):
-                    if p2 < lo or p2 > hi or p2 in seen:
-                        continue
-                    seen[p2] = (p, delta, e)
-                    if p2 == target:
-                        moves = []
-                        cur = p2
-                        while seen[cur] is not None:
-                            prev, dd, ee = seen[cur]
-                            moves.append((dd, ee))
-                            cur = prev
-                        moves.reverse()
-                        return moves
-                    nxt.append(p2)
-            frontier = nxt
-        raise ConstructError("no walk from %d to %d" % (start, target))
 
     tname = [0]
 
@@ -827,7 +768,8 @@ def _nonalt_walk(
         goals = sorted(targets)
         for idx in (2, 1, 0):
             others = frozenset(v for i, v in enumerate(tracked) if i != idx)
-            for delta, e in walk(tracked[idx], goals[idx], others):
+            moves = _bfs_walk(tracked[idx], goals[idx], others, neighbours, lo, hi)
+            for delta, e in moves:
                 fname = conjugator_name(delta)
                 tname[0] += 1
                 nm = "T%d" % tname[0]
@@ -913,125 +855,54 @@ class PairPartnerResult:
     certificates: Tuple[PositiveCertificate, PositiveCertificate]
 
 
-def _candidate_maps(s1: FinPerm, s2: FinPerm):
-    """Candidate relabellings of the union support, best designs first."""
-    import itertools
-    import random
+def _pair_layouts(s1: FinPerm, s2: FinPerm) -> Iterator[Dict[int, int]]:
+    """Edge layouts of supp(s1) | supp(s2), as maps point -> orbit position.
 
-    u = sorted(s1.support | s2.support)
-    n = len(u)
-    yield {p: i for i, p in enumerate(u)}
-    if n <= 6:
-        for perm in itertools.permutations(range(n)):
-            yield {p: perm[i] for i, p in enumerate(u)}
-    # designed layouts: a chosen edge of each permutation sits on top
-    for pm1 in sorted(s1.support):
-        x1 = s1.inverse().apply(pm1)
-        for pm2 in sorted(s2.support):
-            x2 = s2.inverse().apply(pm2)
-            if len({pm1, x1, pm2, x2}) < 4:
-                continue
-            rest = [p for p in u if p not in (pm1, x1, pm2, x2)]
-            for order in ((x1, pm1, x2, pm2), (x2, pm2, x1, pm1)):
-                lay = {p: i for i, p in enumerate(rest)}
-                for j, p in enumerate(order):
-                    lay[p] = len(rest) + j
-                yield lay
-    # random spread layouts; the wider slot range frees up parities
-    rng = random.Random(20210 + n)
-    for trial in range(20000):
-        width = 2 * n + 4 if trial < 10000 else 3 * n + 9
-        slots = rng.sample(range(width), n)
-        yield {p: s for p, s in zip(u, slots)}
+    An edge b -> (b)g of one element g goes at the bottom, an edge
+    (p)g'^-1 -> p of one element g' at the top, and every other point
+    between them in ascending order.  The roles (g', g) are (s1, s2),
+    (s2, s1), (s1, s1) and (s2, s2) first, then every other pair drawn
+    from s1, s2 and their inverses.  For G_1 the first layout with roles
+    (s1, s2) or (s2, s1) seals both elements: on consecutive slots the
+    top point of g' has its preimage just below it and the bottom point
+    of g its image just above it, and a chain gap of 1 makes the gcd 1.
 
-
-def _designed_layouts(sigma: FinPerm, k: int):
-    supp = sorted(sigma.support)
-    yield {p: i for i, p in enumerate(supp)}
-    if k == 2 and len(supp) >= 4:
-        yield from _g2_designations(sigma)
-
-
-def _complete_pair_layout(sA: FinPerm, sB: FinPerm, ok, k: int, rng):
-    """Design a full layout for sA, then solve for sB's free slots.
-
-    Random joint layouts rarely satisfy both seed patterns when the two
-    supports share points, so fix one element's layout by design and
-    search only the slots still free for the other.
+    For G_2 the later layouts vary the parities that _layout_ok reads:
+    a one-slot hole may open the bottom edge, the top edge, and each
+    middle point that either element's chain reads (its lowest point
+    and that point's image, its highest point and that point's
+    preimage).
     """
-    from itertools import permutations
-
-    supp_b = sorted(sB.support)
-    for partial_a in _designed_layouts(sA, k):
-        if not ok(sA, dict(partial_a)):
-            continue
-        fixed = {p: partial_a[p] for p in supp_b if p in partial_a}
-        free = [p for p in supp_b if p not in partial_a]
-        used = set(partial_a.values())
-        pool = [
-            s
-            for s in range(0, max(used) + 2 * len(free) + 13)
-            if s not in used
-        ]
-
-        def check(assign):
-            pos_b = dict(fixed)
-            pos_b.update(assign)
-            if ok(sB, pos_b):
-                full = dict(partial_a)
-                full.update(assign)
-                return full
-            return None
-
-        if not free:
-            full = check({})
-            if full:
-                return full
-            continue
-        if len(free) <= 2:
-            for combo in permutations(pool, len(free)):
-                full = check(dict(zip(free, combo)))
-                if full:
-                    return full
-        else:
-            for _ in range(4000):
-                combo = rng.sample(pool, len(free))
-                full = check(dict(zip(free, combo)))
-                if full:
-                    return full
-    return None
-
-
-def _pair_finitary_omega(s1: FinPerm, s2: FinPerm, ok, k: int) -> FinPerm:
-    import random
-
-    rng = random.Random(31100 + len(s1.support | s2.support))
-    big, small = (s1, s2) if len(s1.support) >= len(s2.support) else (s2, s1)
-    for a, b in ((big, small), (small, big)):
-        partial = _complete_pair_layout(a, b, ok, k, rng)
-        if partial is not None:
-            return _relabel(partial)
-    for partial in _candidate_maps(s1, s2):
-        omega = _relabel(partial)
-        pos1 = _positions(omega, sorted(s1.support))
-        pos2 = _positions(omega, sorted(s2.support))
-        if ok(s1, pos1) and ok(s2, pos2):
-            return omega
-    raise ConstructError("no relabelling found for the finitary pair")
+    union = sorted(s1.support | s2.support)
+    gs = (s1, s2, s1.inverse(), s2.inverse())  # gs[i ^ 2] inverts gs[i]
+    plain = [(0, 1), (1, 0), (0, 0), (1, 1)]
+    for ti, bi in plain + [r for r in product(range(4), repeat=2) if r not in plain]:
+        for p in sorted(gs[ti].support):
+            x = gs[ti ^ 2].apply(p)
+            for b in sorted(gs[bi].support):
+                y = gs[bi].apply(b)
+                if len({x, p, b, y}) < 4:
+                    continue
+                seq = [b, y] + [q for q in union if q not in (x, p, b, y)] + [x, p]
+                rank = {q: i for i, q in enumerate(seq)}
+                read = set()
+                for s, s_inv in ((s1, gs[2]), (s2, gs[3])):
+                    lo = min(s.support, key=rank.__getitem__)
+                    hi = max(s.support, key=rank.__getitem__)
+                    read.update((lo, s.apply(lo), hi, s_inv.apply(hi)))
+                holes = [y, p] + [q for q in seq[2:-2] if q in read]
+                for gaps in product((1, 2), repeat=len(holes)):
+                    gap = dict(zip(holes, gaps))
+                    pos, slot = {}, -1
+                    for q in seq:
+                        slot += gap.get(q, 1)
+                        pos[q] = slot
+                    yield pos
 
 
 def _pair_partner(k: int, g1: GroupElement, g2: GroupElement) -> PairPartnerResult:
     grp = G(k)
-    chain = _chain_g1 if k == 1 else _chain_g2
-    chain_ok = _g1_chain_ok if k == 1 else _g2_chain_ok
     single = partner_alt_g1 if k == 1 else partner_alt_g2
-
-    def seal(b: _Builder, rname: str) -> None:
-        if k == 1:
-            b.axiom("gcd_criterion", {"cycle": rname, "s": "h"})
-        else:
-            b.axiom("g2_seed", {"cycle": rname, "s": "h"})
-
     for g in (g1, g2):
         if not member(g, grp) or g.is_identity():
             raise ConstructError("both elements must be nontrivial members of G_%d" % k)
@@ -1040,34 +911,27 @@ def _pair_partner(k: int, g1: GroupElement, g2: GroupElement) -> PairPartnerResu
     if fin1 and fin2:
         s1, s2 = g1.fin, g2.fin
         if s2 == s1 or s2 == s1.inverse():
-            # reuse the first chain; derive the first element if inverted
+            # reuse the first element's chain; derive it from g2 if inverted
             res = single(s1)
-            omega, h = res.omega, res.h
+            pos = _positions(res.omega, s1.support)
             certs = []
             for g, inverted in ((g1, False), (g2, s2 != s1)):
-                b = _Builder(grp, {"g": g, "h": h})
-                seed = "g"
+                b = _Builder(grp, {"g": g, "h": res.h})
                 if inverted:
                     b.derive("gg", [("g", -1)])
-                    seed = "gg"
-                sig = g.fin.inverse() if inverted else g.fin
-                pos = _positions(omega, sorted(sig.support))
-                if len(sig.support) == 3 and k == 2:
-                    if seed != "g":
-                        b.pin(seed)
-                    seal(b, seed)
-                else:
-                    seal(b, chain(b, seed, sig, pos))
-                certs.append(b.finish())
-            return PairPartnerResult(h, omega, (certs[0], certs[1]))
-        omega = _pair_finitary_omega(s1, s2, chain_ok, k)
+                certs.append(_seal(b, "gg" if inverted else "g", pos, k))
+            return PairPartnerResult(res.h, res.omega, (certs[0], certs[1]))
+        for pos in _pair_layouts(s1, s2):
+            if _layout_ok(s1, pos, k) and _layout_ok(s2, pos, k):
+                break
+        else:
+            raise ConstructError("no relabelling found for the finitary pair")
+        omega = _relabel(pos)
         h = make_s(omega, k)
         certs = []
         for g in (g1, g2):
             b = _Builder(grp, {"g": g, "h": h})
-            pos = _positions(omega, sorted(g.fin.support))
-            seal(b, chain(b, "g", g.fin, pos))
-            certs.append(b.finish())
+            certs.append(_seal(b, "g", {p: pos[p] for p in g.fin.support}, k))
         return PairPartnerResult(h, omega, (certs[0], certs[1]))
     if not fin1 and not fin2:
         pr = partner_nonalt(k, [g1, g2])
@@ -1085,15 +949,10 @@ def _pair_partner(k: int, g1: GroupElement, g2: GroupElement) -> PairPartnerResu
     frame = _nonalt_frame(k, [gprime], avoidb)
     psi = frame.sigma * omega
     h = make_s(psi, k)
-    bf = _Builder(grp, {"g": gf, "h": h})
-    posf = _positions(psi, sorted(gf.fin.support))
-    if k == 2 and len(gf.fin.support) == 3:
-        seal(bf, "g")
-    else:
-        if not chain_ok(gf.fin, posf):
-            raise ConstructError("internal: mixed-pair relabelling failed")
-        seal(bf, chain(bf, "g", gf.fin, posf))
-    cert_f = bf.finish()
+    posf = _positions(psi, gf.fin.support)
+    if not _layout_ok(gf.fin, posf, k):
+        raise ConstructError("internal: mixed-pair relabelling failed")
+    cert_f = _seal(_Builder(grp, {"g": gf, "h": h}), "g", posf, k)
     cert_n = _nonalt_certificate(frame, gn, h, frame.powers[0], frame.orders[0])
     certs = (cert_f, cert_n) if fin1 else (cert_n, cert_f)
     return PairPartnerResult(h, psi, certs)

@@ -180,13 +180,14 @@ def G(k: int) -> Group:
 
 
 def parse_group(text: str) -> Group:
+    """Parse 'H2', or G_k written 'G<k>', 'G_<k>' or 'Gk:<k>'."""
     s = text.strip()
     if s == "H2":
         return H2
-    m = re.fullmatch(r"G_?(\d+)", s)
+    m = re.fullmatch(r"G(?:_|k:)?([0-9]+)", s)
     if m:
         return G(int(m.group(1)))
-    raise ElemError("cannot parse group %r" % text)
+    raise ElemError("cannot parse group %r (want H2, G<k>, G_<k> or Gk:<k>)" % text)
 
 
 def member(g: GroupElement, group: Group) -> bool:

@@ -13,7 +13,7 @@ construction and skip the check (``_trusted``).
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 class PermError(ValueError):

@@ -8,6 +8,7 @@ from houghton.perm import FinPerm
 from houghton.elem import G, H2, finitary, make_s, parse_element
 from houghton.certs import (
     MAX_SHIFT,
+    MAX_SUPPORT,
     Axiom,
     CertError,
     CheckEqual,
@@ -500,3 +501,36 @@ def test_one_step_gcd_certificate_with_huge_shift_rejected_within_a_second():
     at_limit = pos(G(1), gens(a="(1 2 3)", s="t^%d" % MAX_SHIFT),
                    [Axiom("gcd_criterion", {"cycle": "a", "s": "s"})])
     assert "limit" not in verify(at_limit).reason
+
+
+# -- the support limit: powers and products are refused before they are formed --
+
+
+def _rejected_within_a_second(cert):
+    start = time.perf_counter()
+    res = verify(cert)
+    assert time.perf_counter() - start < 1.0
+    assert not res.ok and "exceeds the limit %d" % MAX_SUPPORT in res.reason
+
+
+def test_huge_exponent_rejected_quickly():
+    # (0 5) t to the n moves n + 5 points; the bound refuses it unformed
+    steps = [Derive("x", (("s", 10 ** 12),))]
+    _rejected_within_a_second(pos(G(1), gens(s="(0 5) t"), steps))
+
+
+@pytest.mark.parametrize("exps", [(2,), (1, 1)], ids=["power", "product"])
+def test_squaring_chain_rejected_quickly(exps):
+    # x_{i+1} = x_i^2, written as one letter or as a product of two
+    steps = [Derive("x0", (("s", 1),))]
+    for i in range(60):
+        steps.append(Derive("x%d" % (i + 1), tuple(("x%d" % i, e) for e in exps)))
+    _rejected_within_a_second(pos(G(1), gens(s="(0 5) t"), steps))
+
+
+def test_support_bound_is_exact_for_finitary_powers():
+    # a finitary power never grows, whatever the exponent
+    env = {"c": finitary(FinPerm.cycle(*range(MAX_SUPPORT)))}
+    assert eval_word(env, (("c", 10 ** 12 + 1),)) == env["c"]
+    with pytest.raises(CertError, match="exceeds the limit"):
+        eval_word(env, (("c", 1), ("c", 1)))

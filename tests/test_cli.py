@@ -95,6 +95,14 @@ def test_member_exit_codes(capsys):
     assert run(capsys, "member", "t")[0] == 2  # missing --group
 
 
+def test_group_names(capsys):
+    for name in ("G3", "G_3", "Gk:3"):
+        code, out, _ = run(capsys, "member", "--group", name, "t^6")
+        assert code == 0 and out.strip() == "t^6 in G3"
+    code, _, err = run(capsys, "member", "--group", "Gk:0", "t")
+    assert code == 2 and "k >= 1" in err
+
+
 def test_op_inverse_and_power(capsys):
     code, out, _ = run(capsys, "op", "--inverse", "(1 2 3) t^2")
     assert code == 0

@@ -287,6 +287,65 @@ def test_pair_partner_nonfinitary_random(k, fn):
         pair_checks(fn(g1, g2), k, g1, g2)
 
 
+# finitary pairs on which the earlier randomised layout search raised (the
+# first two), and pairs whose 3-cycle lies inside a (4-cycle)(2-cycle)
+FF_REGRESSIONS = [
+    ("(-7 5 -2)", "(-7 -6 5)"),
+    ("(-1 5 3)", "(-7 -1 8 2 -6 6)(1 3)"),
+    ("(-8 5 -4)", "(-8 7)(-4 3 5 2)"),
+    ("(1 4 2)", "(-4 4 -2 1)(2 3)"),
+]
+
+
+@pytest.mark.parametrize("a,b", FF_REGRESSIONS)
+def test_pair_partner_g2_finitary_regressions(a, b):
+    g1, g2 = parse_element(a), parse_element(b)
+    res = pair_partner_g2(g1, g2)
+    pair_checks(res, 2, g1, g2)
+    for cert in res.certificates:
+        assert verify_positive(cert).ok
+
+
+@pytest.mark.parametrize("a,b", [
+    # every edge of one meets every edge of the other: both edges come
+    # from one element, and the layout needs a hole
+    ("(1 2)(3 4)", "(1 3)(2 4)"),
+    # a 5-cycle with its square and its cube: for G_2 only layouts with
+    # an inverse among the roles work
+    ("(0 1 2 3 4)", "(0 2 4 1 3)"),
+    ("(0 1 2 3 4)", "(0 3 1 4 2)"),
+    # for G_2 this pair needs a hole before a middle point
+    ("(-8 -3 5 -6 1)", "(-5 7 6 2 0)"),
+])
+@pytest.mark.parametrize("k,fn", [(1, pair_partner_g1), (2, pair_partner_g2)])
+def test_pair_partner_hard_layouts(k, fn, a, b):
+    g1, g2 = parse_element(a), parse_element(b)
+    pair_checks(fn(g1, g2), k, g1, g2)
+
+
+def rand_ff(rng, span):
+    """A finitary member drawn as the interactive benchmark draws them:
+    one cycle of 3-6 points of [-span, span], made even by a transposition."""
+    while True:
+        pts = rng.sample(range(-span, span + 1), rng.randint(3, 6))
+        p = FinPerm.cycle(*pts)
+        if not p.is_even():
+            rest = [x for x in range(-span, span + 1) if x not in pts]
+            p = p * FinPerm.cycle(*rng.sample(rest, 2))
+        return finitary(p)
+
+
+@pytest.mark.parametrize("span", [4, 8])
+@pytest.mark.parametrize("k,fn", [(1, pair_partner_g1), (2, pair_partner_g2)])
+def test_pair_partner_finitary_sweep(k, fn, span):
+    # pair_partner verifies each certificate before returning it
+    rng = random.Random(1000 * k + span)
+    for _ in range(1500):
+        g1, g2 = rand_ff(rng, span), rand_ff(rng, span)
+        res = fn(g1, g2)
+        assert res.h == make_s(res.conjugator, k)
+
+
 def test_pair_partner_rejects_nonmember():
     with pytest.raises(ConstructError):
         pair_partner_g2(finitary(FinPerm.cycle(0, 1, 2)), t(1))

@@ -113,6 +113,15 @@ def test_groups():
         G(0)
 
 
+def test_group_grammar():
+    # the CLI and certificates read group names with the same grammar
+    for text in ("G3", "G_3", "Gk:3", " Gk:3 "):
+        assert parse_group(text) == G(3)
+    for text in ("Gk:0", "G0", "Gk:", "Gk3", "G_k:3", "Gk:-1", "g3"):
+        with pytest.raises(ElemError):
+            parse_group(text)
+
+
 def test_member():
     three = finitary(FinPerm.cycle(1, 2, 3))
     swap = finitary(FinPerm.cycle(1, 2))
