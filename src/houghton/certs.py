@@ -45,9 +45,9 @@ class CertError(ValueError):
 # linearly with it.
 MAX_SHIFT = 10 ** 4
 
-# The largest support bound of a product the kernel computes: a power g^n of
-# g = sigma t^c moves at most |supp sigma| points when c = 0 and at most
-# |n| |supp sigma| otherwise, and a product at most the sum of its factors'.
+# The largest support of a power or product the kernel keeps: eval_word
+# refuses a word as soon as one product moves more points, so that no
+# product it forms costs more than twice this.
 MAX_SUPPORT = 10 ** 5
 
 
@@ -129,16 +129,15 @@ def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
             raise CertError("unknown name %r in word" % (name,))
         if not _is_int(exp):
             raise CertError("non-integer exponent in word")
-        bound = len(g.fin) if g.shift == 0 else abs(exp) * len(g.fin)
-        if out is not None:
-            bound += len(out.fin)
-        if bound > MAX_SUPPORT:
-            raise CertError(
-                "support bound %d of %r^%d exceeds the limit %d"
-                % (bound, name, exp, MAX_SUPPORT)
-            )
-        letter = g ** exp
+        try:
+            letter = g.power(exp, MAX_SUPPORT)
+        except ElemError as exc:
+            raise CertError("%r^%d: %s" % (name, exp, exc)) from exc
         out = letter if out is None else out * letter
+        if len(out.fin) > MAX_SUPPORT:
+            raise CertError(
+                "support %d of the word exceeds the limit %d" % (len(out.fin), MAX_SUPPORT)
+            )
     return identity() if out is None else out
 
 

@@ -516,12 +516,14 @@ def _chain(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> str:
     """The name of a 3-cycle, derived from seed, that h seals for G_k.
 
     pos holds the orbit positions of supp(seed) under h, as in _layout_ok.
-    For G_2 a 3-cycle seed is returned as it is.  Otherwise the seed is
-    conjugated by its own h-translate by the span, which meets the seed's
-    support only at the top point: that point is renamed, and the
-    quotient with the seed is a 3-cycle.
+    For G_2 a 3-cycle seed is returned as it is, pinned when derived.
+    Otherwise the seed is conjugated by its own h-translate by the span,
+    which meets the seed's support only at the top point: that point is
+    renamed, and the quotient with the seed is a 3-cycle.
     """
     if k == 2 and len(pos) == 3:
+        if seed not in b.generators:
+            b.pin(seed)
         return seed
     span = max(pos.values()) - min(pos.values())
     if span < k or span % k:

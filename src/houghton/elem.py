@@ -56,6 +56,15 @@ class GroupElement:
         return GroupElement(self.fin.inverse().translate(self.shift), -self.shift)
 
     def __pow__(self, n: int) -> "GroupElement":
+        return self.power(n)
+
+    def power(self, n: int, limit: Optional[int] = None) -> "GroupElement":
+        """self^n by repeated squaring.
+
+        With a limit, raise ElemError as soon as a product moves more
+        than limit points, so that no product costs more than twice the
+        limit.
+        """
         if n == 0:
             return identity()
         if not self.shift:
@@ -65,11 +74,11 @@ class GroupElement:
         out = None
         while True:
             if n & 1:
-                out = base if out is None else out * base
+                out = base if out is None else _bounded(out * base, limit)
             n >>= 1
             if not n:
                 return out
-            base = base * base
+            base = _bounded(base * base, limit)
 
     def conjugate(self, w: "GroupElement") -> "GroupElement":
         """self^w = w^-1 * self * w."""
@@ -96,6 +105,12 @@ class GroupElement:
 
 def identity() -> GroupElement:
     return GroupElement(FinPerm.identity(), 0)
+
+
+def _bounded(g: GroupElement, limit: Optional[int]) -> GroupElement:
+    if limit is not None and len(g.fin) > limit:
+        raise ElemError("support %d exceeds the limit %d" % (len(g.fin), limit))
+    return g
 
 
 def t(k: int = 1) -> GroupElement:

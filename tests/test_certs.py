@@ -503,7 +503,7 @@ def test_one_step_gcd_certificate_with_huge_shift_rejected_within_a_second():
     assert "limit" not in verify(at_limit).reason
 
 
-# -- the support limit: powers and products are refused before they are formed --
+# -- the support limit: a power or product that grows past it is refused --
 
 
 def _rejected_within_a_second(cert):
@@ -514,7 +514,7 @@ def _rejected_within_a_second(cert):
 
 
 def test_huge_exponent_rejected_quickly():
-    # (0 5) t to the n moves n + 5 points; the bound refuses it unformed
+    # (0 5) t to the n moves n + 5 points: a square on the way outgrows the limit
     steps = [Derive("x", (("s", 10 ** 12),))]
     _rejected_within_a_second(pos(G(1), gens(s="(0 5) t"), steps))
 
@@ -528,9 +528,15 @@ def test_squaring_chain_rejected_quickly(exps):
     _rejected_within_a_second(pos(G(1), gens(s="(0 5) t"), steps))
 
 
-def test_support_bound_is_exact_for_finitary_powers():
+def test_support_limit_reads_actual_supports():
     # a finitary power never grows, whatever the exponent
-    env = {"c": finitary(FinPerm.cycle(*range(MAX_SUPPORT)))}
-    assert eval_word(env, (("c", 10 ** 12 + 1),)) == env["c"]
+    c = finitary(FinPerm.cycle(*range(MAX_SUPPORT)))
+    assert eval_word({"c": c}, (("c", 10 ** 12 + 1),)) == c
+    # nor does a power of h = w^-1 t w: h^n = w^-1 t^n w moves at most
+    # 2 |supp w| points, though n |supp w| is far above the limit
+    w = FinPerm.cycle(0, 5, 9)
+    assert eval_word({"h": make_s(w, 1)}, (("h", 10 ** 9),)) == make_s(w, 10 ** 9)
+    # a product that does outgrow the limit is refused
+    env = {"c": c, "d": finitary(FinPerm.cycle(-1, -2))}
     with pytest.raises(CertError, match="exceeds the limit"):
-        eval_word(env, (("c", 1), ("c", 1)))
+        eval_word(env, (("c", 1), ("d", 1)))
