@@ -121,7 +121,34 @@ def _shift_error(gs: Iterable[GroupElement]) -> Optional[str]:
     return None
 
 
+def _conjugation(env: Dict[str, GroupElement], word: Word) -> Optional[GroupElement]:
+    """a^-e * b^m * a^e for a word (a, -e), (b, m), (a, e), by relabelling.
+
+    None unless both names are bound, the exponents are ints, b^m is
+    finitary and |a^e| + |b^m| <= MAX_SUPPORT, so that no product the
+    general loop forms could pass the limit; any failure is left to it.
+    """
+    try:
+        (a, neg), (b, m), (a2, e) = word
+    except (TypeError, ValueError):
+        return None
+    x, y = _named(env, a), _named(env, b)
+    if (x is None or y is None or a2 != a or not all(map(_is_int, (neg, m, e)))
+            or neg != -e or (y.shift and m)):
+        return None
+    try:
+        w, y = x.power(e, MAX_SUPPORT), y.power(m, MAX_SUPPORT)
+    except ElemError:
+        return None
+    if len(w.fin) + len(y.fin) > MAX_SUPPORT:
+        return None
+    return y.conjugate(w)
+
+
 def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
+    fast = _conjugation(env, word)
+    if fast is not None:
+        return fast
     out = None
     for name, exp in word:
         g = _named(env, name)
@@ -584,7 +611,7 @@ def cert_to_dict(cert) -> dict:
 
 
 def cert_to_json(cert) -> str:
-    return json.dumps(cert_to_dict(cert), indent=2, sort_keys=True)
+    return json.dumps(cert_to_dict(cert), sort_keys=True, separators=(",", ":"))
 
 
 def _object(data, what: str) -> dict:

@@ -117,6 +117,21 @@ class _Builder:
             self.target, dict(self.generators), tuple(self.steps)
         )
 
+    def extend(self, other: "_Builder") -> None:
+        """Append the steps of other with the values it derived.
+
+        Every generator of other must be bound here to the same value.
+        """
+        for name, val in other.generators.items():
+            if self.env.get(name) != val:
+                raise ConstructError("%r differs from the value its steps assume" % name)
+        for step in other.steps:
+            if isinstance(step, Derive):
+                if step.name in self.env:
+                    raise ConstructError("name %r already used" % step.name)
+                self.env[step.name] = other.env[step.name]
+            self.steps.append(step)
+
     def finish(self) -> PositiveCertificate:
         cert = self.certificate()
         res = verify_positive(cert)
@@ -669,40 +684,48 @@ def _nonalt_frame(k: int, gs: Sequence[GroupElement], avoidb: int) -> _Frame:
     raise ConstructError("could not find a usable frame")
 
 
-def _nonalt_certificate(
-    frame: _Frame,
-    g: GroupElement,
-    h: GroupElement,
-    power: int,
-    order: int,
-) -> PositiveCertificate:
-    k, q, c, base = frame.k, frame.q, frame.c, frame.base
+def _nonalt_certificates(
+    frame: _Frame, h: GroupElement, gs: Sequence[GroupElement]
+) -> Tuple[PositiveCertificate, ...]:
+    """Certificates that h generates G_k with each g in gs.
+
+    Each one derives z = g^p h^(c/k), its power mu and the power nu of mu
+    that acts as sigma^(k+1) on the frame block and its inverse on the
+    block's translate by c, whatever g is.  Every later step (the 3-cycle
+    T0, the walk and the alt_basis axiom) depends on h and nu alone, so
+    it is derived once and appended to each certificate with its values.
+    """
+    k, q, c = frame.k, frame.q, frame.c
     sigma = frame.sigma
-    b = _Builder(G(k), {"g": g, "h": h})
-    b.derive("z", [("g", power), ("h", c // k)])
-    b.derive("mu", [("z", order)])
-    predicted = finitary((sigma ** order) * (sigma ** (-order)).translate(c))
-    b.expect("mu", predicted)
-    # nu acts on each q-point block as a step-(k+1) circulant, so tracked
-    # points stay at least k+1 apart and aligned escape anchors exist
-    exp = ((k + 1) * pow(order % q, -1, q)) % q
-    b.derive("nu", [("mu", exp)])
+    nu = finitary(sigma ** (k + 1) * (sigma ** -(k + 1)).translate(c))
+    shared = _Builder(G(k), {"h": h, "nu": nu})
     # the translate of nu by c + q - 1 meets supp(nu) in a single point,
     # so conjugating nu by it renames that point and the quotient with nu
     # is a 3-cycle
     d0 = c + q - 1
     if d0 % k:
         raise ConstructError("internal: first translate is not a multiple of k")
-    b.derive("A0", [("h", -d0 // k), ("nu", 1), ("h", d0 // k)])
-    b.derive("s0", [("A0", -1), ("nu", 1), ("A0", 1)])
-    b.derive("T0", [("nu", 1), ("s0", -1)])
-    t0 = b.env["T0"]
+    shared.derive("A0", [("h", -d0 // k), ("nu", 1), ("h", d0 // k)])
+    shared.derive("s0", [("A0", -1), ("nu", 1), ("A0", 1)])
+    t0 = shared.derive("T0", [("nu", 1), ("s0", -1)])
     if t0.shift != 0 or not t0.fin.is_three_cycle():
         raise ConstructError("internal: overlap step did not give a 3-cycle")
-    b0 = base + 3 * c
-    names = _nonalt_walk(b, frame, h, b0)
-    b.axiom("alt_basis", {"step": "h", "base": b0, "c": k, "cycles": names})
-    return b.finish()
+    b0 = frame.base + 3 * c
+    names = _nonalt_walk(shared, frame, h, b0)
+    shared.axiom("alt_basis", {"step": "h", "base": b0, "c": k, "cycles": names})
+    out = []
+    for g, power, order in zip(gs, frame.powers, frame.orders):
+        b = _Builder(G(k), {"g": g, "h": h})
+        b.derive("z", [("g", power), ("h", c // k)])
+        b.derive("mu", [("z", order)])
+        b.expect("mu", finitary((sigma ** order) * (sigma ** (-order)).translate(c)))
+        # nu acts on each q-point block as a step-(k+1) circulant, so tracked
+        # points stay at least k+1 apart and aligned escape anchors exist
+        exp = ((k + 1) * pow(order % q, -1, q)) % q
+        b.derive("nu", [("mu", exp)])
+        b.extend(shared)
+        out.append(b.finish())
+    return tuple(out)
 
 
 def _nonalt_walk(
@@ -744,10 +767,9 @@ def _nonalt_walk(
 
     def neighbours(p: int, others: frozenset):
         for blockstart in (base + 1, base + c + 1):
-            for u in range(q):
+            # only deltas that are multiples of k, in ascending u
+            for u in range((p - blockstart) % k, q, k):
                 delta = p - (blockstart + u)
-                if delta % k:
-                    continue
                 # h relabels t^k by frame.sigma (times a permutation far
                 # below it in a mixed pair) and p lies above both, so
                 # h^(delta/k) carries the block onto a set that holds p
@@ -840,11 +862,7 @@ def partner_nonalt(
     h = make_s(frame.sigma, k)
     if in_class_tk(h, k) is None:
         raise ConstructError("internal: partner is not in class [t^k]")
-    certs = tuple(
-        _nonalt_certificate(frame, g, h, p, r)
-        for g, p, r in zip(gs, frame.powers, frame.orders)
-    )
-    return PartnerResult(h, frame.sigma, certs)
+    return PartnerResult(h, frame.sigma, _nonalt_certificates(frame, h, gs))
 
 
 # -- partners for pairs ---------------------------------------------------------
@@ -955,7 +973,7 @@ def _pair_partner(k: int, g1: GroupElement, g2: GroupElement) -> PairPartnerResu
     if not _layout_ok(gf.fin, posf, k):
         raise ConstructError("internal: mixed-pair relabelling failed")
     cert_f = _seal(_Builder(grp, {"g": gf, "h": h}), "g", posf, k)
-    cert_n = _nonalt_certificate(frame, gn, h, frame.powers[0], frame.orders[0])
+    (cert_n,) = _nonalt_certificates(frame, h, [gn])
     certs = (cert_f, cert_n) if fin1 else (cert_n, cert_f)
     return PairPartnerResult(h, psi, certs)
 

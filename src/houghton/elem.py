@@ -81,7 +81,13 @@ class GroupElement:
             base = _bounded(base * base, limit)
 
     def conjugate(self, w: "GroupElement") -> "GroupElement":
-        """self^w = w^-1 * self * w."""
+        """self^w = w^-1 * self * w.
+
+        For w = tau t^c, a finitary self is relabelled in one pass: each
+        cycle (a b ...) becomes ((a)tau+c (b)tau+c ...).
+        """
+        if not self.shift:
+            return GroupElement(self.fin.conjugate(w.fin).translate(w.shift), 0)
         return w.inverse() * self * w
 
     def eventual_bound(self) -> int:

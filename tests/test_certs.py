@@ -3,9 +3,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from houghton import certs
 from houghton.perm import FinPerm
-from houghton.elem import G, H2, finitary, make_s, parse_element
+from houghton.elem import G, H2, GroupElement, finitary, make_s, parse_element
 from houghton.certs import (
     MAX_SHIFT,
     MAX_SUPPORT,
@@ -48,6 +50,96 @@ def test_eval_word():
     assert eval_word(env, ()) == parse_element("e")
     with pytest.raises(CertError):
         eval_word(env, (("b", 1),))
+
+
+# A conjugation word a^-e * y * a^e is evaluated by relabelling y when y is
+# finitary; the reference composes the letters point by point and builds the
+# value through the validating FinPerm constructor.  Elements move points of
+# [-10, 10] and shift by at most 4, letters have |exponent| <= 3, so past
+# |x| = 47 the word acts as a plain translation.
+
+
+def _ref_letter(g, n):
+    pre = {g.apply(x): x for x in range(-150, 151)}
+    step = g.apply if n > 0 else pre.__getitem__
+    def act(x):
+        for _ in range(abs(n)):
+            x = step(x)
+        return x
+    return act
+
+
+def _ref_word(env, word):
+    """The value of word, or the CertError text eval_word must raise."""
+    for name, exp in word:
+        if name not in env:
+            return "unknown name %r in word" % (name,)
+        if not isinstance(exp, int) or isinstance(exp, bool):
+            return "non-integer exponent in word"
+    acts = [_ref_letter(env[name], exp) for name, exp in word]
+    c = sum(env[name].shift * exp for name, exp in word)
+    def value(x):
+        for act in acts:
+            x = act(x)
+        return x
+    return GroupElement(FinPerm({x: value(x) - c for x in range(-60, 61)}), c)
+
+
+@st.composite
+def _small_elements(draw, shifted):
+    pts = draw(st.lists(st.integers(min_value=-10, max_value=10), unique=True, max_size=6))
+    img = draw(st.permutations(pts))
+    shift = draw(st.integers(min_value=-4, max_value=4)) if shifted else 0
+    return GroupElement(FinPerm(dict(zip(pts, img))), shift)
+
+
+_NAMES = ["a", "y", "s"]
+
+
+@given(_small_elements(True), _small_elements(False), _small_elements(True),
+       st.sampled_from(_NAMES), st.sampled_from(_NAMES),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3),
+       st.sampled_from(["conjugation"] * 4 + ["last exponent", "last name", "unbound", "bool"]),
+       st.integers(min_value=0, max_value=2), st.booleans())
+def test_conjugation_words_match_pointwise_reference(a, y, s, outer, inner, e, m, kind, at, flag):
+    # outer and inner name a shifted a, a finitary y or a shifted s (taken
+    # by the general loop), possibly the same one twice, with e = 0 among
+    # the exponents; the other kinds break the pattern at one letter, with
+    # an unbound name or a bool exponent that must raise as the loop does
+    env = {"a": a, "y": y, "s": s}
+    word = [[outer, -e], [inner, m], [outer, e]]
+    if kind == "last exponent":
+        word[2][1] += 1
+    elif kind == "last name":
+        word[2][0] = _NAMES[(_NAMES.index(outer) + 1) % 3]
+    elif kind == "unbound":
+        word[at][0] = "u"
+    elif kind == "bool":
+        word[at][1] = flag
+    word = tuple(map(tuple, word))
+    want = _ref_word(env, word)
+    if isinstance(want, str):
+        with pytest.raises(CertError) as exc:
+            eval_word(env, word)
+        assert str(exc.value) == want
+    else:
+        assert eval_word(env, word) == want
+
+
+def test_conjugation_word_bounded_by_intermediate_product(monkeypatch):
+    # a^-1 y moves 9 points, though a^-1 y a moves only y's 3: the word is
+    # refused as the general loop refuses it
+    monkeypatch.setattr(certs, "MAX_SUPPORT", 8)
+    env = {"a": finitary(FinPerm.cycle(*range(6))), "y": finitary(FinPerm.cycle(10, 11, 12)),
+           "x": finitary(FinPerm.cycle(10, 11))}
+    with pytest.raises(CertError, match="support 9 of the word exceeds the limit 8"):
+        eval_word(env, (("a", -1), ("y", 1), ("a", 1)))
+    assert eval_word(env, (("a", -1), ("x", 1), ("a", 1))) == finitary(FinPerm.cycle(10, 11))
+    # conjugating the shifted t by a moves 6 points, more than a and t together
+    monkeypatch.setattr(certs, "MAX_SUPPORT", 5)
+    env = {"a": finitary(FinPerm.cycle(0, 10, 20)), "t": parse_element("t")}
+    with pytest.raises(CertError, match="support 6 of the word exceeds the limit 5"):
+        eval_word(env, (("a", -1), ("t", 1), ("a", 1)))
 
 
 # -- positive certificates ---------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,10 +155,14 @@ def test_suite_command_wiring(monkeypatch, capsys):
 
 
 def test_console_script_entry_point():
+    # the subprocess does not see the pythonpath pytest was given
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "houghton.cli", "op", "--compose", "t", "(1 2)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(0 1) t^1"

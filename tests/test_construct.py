@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from houghton import construct
 from houghton.perm import FinPerm
 from houghton.elem import (
     G,
@@ -238,6 +239,40 @@ def test_partner_nonalt_large_shift():
     # verifies its certificate before returning it
     res = partner_nonalt(1, [t(5003)])
     assert in_class_tk(res.h, 1) is not None
+
+
+def test_partner_nonalt_walks_once_per_frame(monkeypatch):
+    # the walk depends on h and nu alone, never on the member
+    calls = [0]
+    walk = construct._bfs_walk
+
+    def counting(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(construct, "_bfs_walk", counting)
+    partner_nonalt(2, [t(2)])
+    one = calls[0]
+    calls[0] = 0
+    gs = [t(2), t(-4), finitary(FinPerm.cycle(0, 1, 2)) * t(-2), finitary(FinPerm.cycle(3, -1, 5)) * t(4)]
+    res = partner_nonalt(2, gs)
+    assert 0 < calls[0] <= one
+    # z, mu, the pin on mu and nu come first; the rest is shared
+    suffixes = [cert.steps[4:] for cert in res.certificates]
+    assert all(steps == suffixes[0] for steps in suffixes)
+
+
+def test_builder_extend_checks_the_shared_generators():
+    cyc = finitary(FinPerm.cycle(0, 1, 2))
+    shared = construct._Builder(G(1), {"h": t(1), "nu": cyc})
+    shared.derive("x", [("h", -1), ("nu", 1), ("h", 1)])
+    b = construct._Builder(G(1), {"h": t(1), "nu": cyc.inverse()})
+    with pytest.raises(ConstructError, match="'nu' differs"):
+        b.extend(shared)
+    b = construct._Builder(G(1), {"h": t(1), "nu": cyc})
+    b.extend(shared)
+    assert b.env["x"] == finitary(FinPerm.cycle(1, 2, 3))
+    assert b.steps == shared.steps
 
 
 def test_partner_nonalt_rejects_finitary():
