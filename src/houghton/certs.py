@@ -45,6 +45,12 @@ class CertError(ValueError):
 # linearly with it.
 MAX_SHIFT = 10 ** 4
 
+# The largest |x| of a point moved by an element whose orbits the kernel
+# walks: orbits.decompose covers [-m, m] for the largest such |x| = m, and
+# the window of the negative variants is m + 4 |shift| + 8, however few
+# points the element moves.
+MAX_POINT = 10 ** 5
+
 # The largest support of a power or product the kernel keeps: eval_word
 # refuses a word as soon as one product moves more points, so that no
 # product it forms costs more than twice this.
@@ -113,11 +119,14 @@ def _named(env: Dict[str, GroupElement], name) -> Optional[GroupElement]:
     return env.get(name) if isinstance(name, str) else None
 
 
-def _shift_error(gs: Iterable[GroupElement]) -> Optional[str]:
-    """Why the kernel will not walk the orbits of gs, or None."""
+def _walk_error(gs: Iterable[GroupElement]) -> Optional[str]:
+    """Why the kernel will not walk the orbits of gs, or scan a window
+    around them, or None.  Every such walk or scan calls this first."""
     for g in gs:
         if abs(g.shift) > MAX_SHIFT:
             return "|shift| %d exceeds the limit %d" % (abs(g.shift), MAX_SHIFT)
+        if g.eventual_bound() > MAX_POINT:
+            return "point %d exceeds the limit %d" % (g.eventual_bound(), MAX_POINT)
     return None
 
 
@@ -186,7 +195,7 @@ def _axiom_gcd_criterion(env, facts, params) -> Optional[str]:
     d = abs(s.shift)
     if d < 1:
         return "gcd_criterion: s is finitary"
-    err = _shift_error([s])
+    err = _walk_error([s])
     if err:
         return "gcd_criterion: %s" % err
     dec = decompose(s)
@@ -217,6 +226,9 @@ def _axiom_g2_seed(env, facts, params) -> Optional[str]:
         return "g2_seed: unknown element name"
     if cyc.shift != 0 or not cyc.fin.is_three_cycle():
         return "g2_seed: %s is not a finitary 3-cycle" % params.get("cycle")
+    err = _walk_error([s])
+    if err:
+        return "g2_seed: %s" % err
     w = in_class_tk(s, 2)
     if w is None:
         return "g2_seed: s is not conjugate to a translation by 2"
@@ -250,7 +262,7 @@ def _axiom_alt_basis(env, facts, params) -> Optional[str]:
         return "alt_basis: bad base/c parameters"
     if abs(u.shift) != c:
         return "alt_basis: step element shift is not +-%d" % c
-    err = _shift_error([u])
+    err = _walk_error([u])
     if err:
         return "alt_basis: %s" % err
     if u.eventual_bound() > base:
@@ -288,7 +300,7 @@ def _axiom_odd_even_mix(env, facts, params) -> Optional[str]:
         return "odd_even_mix: unknown element name"
     if not any(f[0] == "alt_on_orbit" and f[1] == s_name for f in facts):
         return "odd_even_mix: no alt_on_orbit fact for %r" % s_name
-    err = _shift_error([s])
+    err = _walk_error([s])
     if err:
         return "odd_even_mix: %s" % err
     dec = decompose(s)
@@ -473,6 +485,9 @@ def _neg_block_system(cert) -> VerifyResult:
         s = parse_element(cert.params.get("relabel", ""))
     except ElemError as exc:
         return _fail("block_system: bad relabel element: %s" % exc)
+    err = _walk_error([s])
+    if err:
+        return _fail("block_system: relabel element: %s" % err)
     # s is conjugate to t or t^-1 exactly when it is a single infinite orbit;
     # a point's class is its position on that orbit, mod the modulus
     dec = decompose(s) if abs(s.shift) == 1 else None
@@ -545,7 +560,7 @@ _NEGATIVES = {
     "imprimitivity3": _neg_imprimitivity3,
     "not_in_group": _neg_not_in_group,
 }
-# the variants that decompose generators or scan a window set by their shifts
+# the variants that decompose generators or scan a window around them
 _WALKING_NEGATIVES = ("invariant_set", "block_system", "imprimitivity3")
 
 
@@ -556,7 +571,7 @@ def verify_negative(cert: NegativeCertificate) -> VerifyResult:
     if fn is None:
         return _fail("unknown negative variant %r" % cert.variant)
     if cert.variant in _WALKING_NEGATIVES:
-        err = _shift_error(cert.generators.values())
+        err = _walk_error(cert.generators.values())
         if err:
             return _fail("%s: %s" % (cert.variant, err))
     return fn(cert)

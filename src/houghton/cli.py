@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: it parses its
 arguments, calls one library function, and prints the result.  Exit
 codes are fixed for scripting: 0 for success or a verified accept,
-1 for a verified reject, 2 for usage or parse errors.
+1 for a verified reject, 2 for a usage or parse error, or when no
+criterion applies.
 """
 
 import argparse
@@ -12,18 +13,9 @@ import sys
 from typing import List, Optional
 
 from .perm import PermError
-from .elem import (
-    ElemError,
-    G,
-    Group,
-    GroupElement,
-    in_class_tk,
-    parse_element,
-    parse_group,
-)
+from .elem import ElemError, Group, GroupElement, parse_element, parse_group
 from .orbits import decompose
 from .certs import (
-    Axiom,
     CertError,
     PositiveCertificate,
     cert_from_json,
@@ -31,15 +23,7 @@ from .certs import (
     cert_to_json,
     verify,
 )
-from .construct import (
-    ConstructError,
-    gcd_test,
-    pair_partner_g1,
-    pair_partner_g2,
-    partner_alt_g1,
-    partner_alt_g2,
-    partner_nonalt,
-)
+from .construct import ConstructError, common_partner, g2_seed_test, gcd_test
 from .bounds import BoundsError, defeat_ten, refute_dominating, spread_zero_witness
 from .oracle import OracleError
 from .suite import run_all
@@ -51,10 +35,6 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     pass
-
-
-class Reject(Exception):
-    """A verified negative outcome; carries the report already printed."""
 
 
 def _elem(text: str) -> GroupElement:
@@ -190,79 +170,28 @@ def _cmd_certify(args) -> int:
     s = _elem(args.pair[1])
     if a.shift != 0:
         raise UsageError("the first element of --pair must be finitary")
-    if grp.k == 1:
-        try:
-            res = gcd_test(a.fin, s)
-        except ConstructError as exc:
-            raise UsageError(str(exc))
-        if args.json:
-            print(cert_to_json(res.certificate))
-        elif res.verdict == "positive":
-            print(
-                "accept: gcd(%d, %d) = 1; %s"
-                % (res.d1, res.d2, _cert_lines(res.certificate))
-            )
+    if grp.k not in (1, 2):
+        raise UsageError("certify --pair supports G1 and G2 targets")
+    try:
+        res = (gcd_test if grp.k == 1 else g2_seed_test)(a.fin, s)
+    except ConstructError as exc:
+        raise UsageError(str(exc))
+    if args.json:
+        print(cert_to_json(res.certificate))
+    else:
+        if grp.k == 1:
+            why = "gcd(%d, %d) = %d" % (res.d1, res.d2, res.gcd)
         else:
-            print(
-                "reject: gcd(%d, %d) = %d; %s"
-                % (res.d1, res.d2, res.gcd, _cert_lines(res.certificate))
-            )
-        return EXIT_OK if res.verdict == "positive" else EXIT_REJECT
-    if grp.k == 2:
-        if not a.fin.is_three_cycle():
-            raise UsageError("G2 certification here needs a 3-cycle first element")
-        if in_class_tk(s, 2) is None:
-            raise UsageError("second element is not conjugate to t^2")
-        cert = PositiveCertificate(
-            G(2), {"g": a, "s": s}, (Axiom("g2_seed", {"cycle": "g", "s": "s"}),)
-        )
-        res = verify(cert)
-        if args.json:
-            print(cert_to_json(cert))
-        else:
-            print("%s: %s" % ("accept" if res.ok else "reject", _cert_lines(cert)))
-        return EXIT_OK if res.ok else EXIT_REJECT
-    raise UsageError("certify --pair supports G1 and G2 targets")
+            why = "orbit positions %s under s" % (res.positions,)
+        verdict = "accept" if res.verdict == "positive" else "reject"
+        print("%s: %s; %s" % (verdict, why, _cert_lines(res.certificate)))
+    return EXIT_OK if res.verdict == "positive" else EXIT_REJECT
 
 
 def _cmd_partner(args) -> int:
     grp = _need_gk(args)
-    gs = [_elem(x) for x in args.elements]
-    if len(gs) == 1 and gs[0].shift == 0 and grp.k in (1, 2):
-        fn = partner_alt_g1 if grp.k == 1 else partner_alt_g2
-        try:
-            res = fn(gs[0].fin)
-        except ConstructError as exc:
-            raise UsageError(str(exc))
-        certs = [res.transcript.certificate]
-        h = res.h
-    else:
-        try:
-            res = partner_nonalt(grp.k, gs)
-        except ConstructError as exc:
-            raise UsageError(str(exc))
-        certs = list(res.certificates)
-        h = res.h
-    if args.json:
-        _emit_json(
-            {"h": str(h), "certificates": [cert_to_dict(c) for c in certs]}
-        )
-    else:
-        print("partner h = %s" % h)
-        for c in certs:
-            print(_cert_lines(c))
-    return EXIT_OK
-
-
-def _cmd_pair_partner(args) -> int:
-    grp = _need_group(args)
-    if grp.kind != "Gk" or grp.k not in (1, 2):
-        raise UsageError("pair-partner supports G1 and G2")
-    g1 = _elem(args.elements[0])
-    g2 = _elem(args.elements[1])
-    fn = pair_partner_g1 if grp.k == 1 else pair_partner_g2
     try:
-        res = fn(g1, g2)
+        res = common_partner(grp.k, [_elem(x) for x in args.elements])
     except ConstructError as exc:
         raise UsageError(str(exc))
     if args.json:
@@ -384,7 +313,7 @@ def _build_parser() -> _Parser:
     sp = add("partner", _cmd_partner, help="construct a common generating partner")
     sp.add_argument("elements", nargs="+")
 
-    sp = add("pair-partner", _cmd_pair_partner, help="partner for a pair in G1 or G2")
+    sp = add("pair-partner", _cmd_partner, help="partner with exactly two elements")
     sp.add_argument("elements", nargs=2)
 
     sp = add("defeat", _cmd_defeat, help="find a defeating 3-cycle from the ten-cycle set")

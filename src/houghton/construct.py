@@ -10,7 +10,7 @@ certificate, never a wrongly accepted one.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .perm import FinPerm
@@ -322,6 +322,47 @@ def gcd_test(cycle: FinPerm, s: GroupElement) -> GcdTestResult:
     return GcdTestResult(d1, d2, 1, "positive", b.finish())
 
 
+@dataclass
+class SeedTestResult:
+    positions: Tuple[int, int, int]  # the cycle's points where s reads as t^2
+    verdict: str  # "positive" or "negative"
+    certificate: object
+
+
+def g2_seed_test(cycle: FinPerm, s: GroupElement) -> SeedTestResult:
+    """Decide whether a 3-cycle and a relabelled t^2 generate G_2, where a
+    criterion applies.
+
+    Read where s becomes t^2, two points of one parity two apart and one
+    of the other form a g2_seed; three points of one parity lie on one
+    orbit of s, which both elements leave invariant.  Any other pattern
+    raises ConstructError.
+    """
+    if not cycle.is_three_cycle():
+        raise ConstructError("criterion inapplicable: not a 3-cycle")
+    w = in_class_tk(s, 2)
+    if w is None:
+        raise ConstructError("criterion inapplicable: s is not conjugate to t^2 or t^-2")
+    vals = tuple(sorted(class_tk_relabel(s, w, tuple(cycle.support)).values()))
+    gens = {"a": finitary(cycle), "s": s}
+    if _seed_pattern_ok(vals):
+        verdict = "positive"
+        cert = PositiveCertificate(G(2), gens, (Axiom("g2_seed", {"cycle": "a", "s": "s"}),))
+    elif len({v % 2 for v in vals}) == 1:
+        # class_tk_relabel puts the orbit inf<j> of s on the residue j mod 2
+        verdict = "negative"
+        params = {"element": "s", "orbits": ["inf%d" % (vals[0] % 2)]}
+        cert = NegativeCertificate(G(2), gens, "invariant_set", params)
+    else:
+        raise ConstructError(
+            "criterion inapplicable: positions %r are neither a seed nor on one orbit" % (vals,)
+        )
+    res = verify(cert)
+    if not res.ok:
+        raise ConstructError("%s certificate failed: %s" % (verdict, res.reason))
+    return SeedTestResult(vals, verdict, cert)
+
+
 # -- words over the basis 3-cycles (1 2 j) ------------------------------------
 
 
@@ -444,30 +485,7 @@ def two_gen_alpha(k: int) -> ConstructionTranscript:
     return ConstructionTranscript(dict(b.env), cert)
 
 
-# -- canonical relabellings ----------------------------------------------------
-
-
-def _complete_map(partial: Dict[int, int]) -> FinPerm:
-    """Extend a partial injection to an even finitary permutation.
-
-    Unassigned points of the combined domain/image set are matched in
-    ascending order; parity is fixed with a faraway transposition.
-    """
-    dom = set(partial)
-    img = set(partial.values())
-    if len(img) != len(dom):
-        raise ConstructError("partial map is not injective")
-    carrier = dom | img
-    rest_dom = sorted(carrier - dom)
-    rest_img = sorted(carrier - img)
-    mapping = dict(partial)
-    for x, y in zip(rest_dom, rest_img):
-        mapping[x] = y
-    perm = FinPerm({x: y for x, y in mapping.items() if x != y})
-    if not perm.is_even():
-        far = max(carrier | {0}) + 2
-        perm = perm * FinPerm.cycle(far, far + 1)
-    return perm
+# -- laying out finitary members -----------------------------------------------
 
 
 def _relabel(partial: Dict[int, int]) -> FinPerm:
@@ -475,24 +493,22 @@ def _relabel(partial: Dict[int, int]) -> FinPerm:
 
     Under h = make_s(omega, k) the orbit coordinate of a point p is
     omega^{-1}(p), so slot plans are realised by inverting the completed
-    assignment.
+    assignment.  Unassigned points of the combined domain/image set are
+    matched in ascending order; parity is fixed with a faraway
+    transposition.
     """
-    return _complete_map(partial).inverse()
-
-
-def _positions(omega: FinPerm, points) -> Dict[int, int]:
-    inv = omega.inverse()
-    return {p: inv.apply(p) for p in points}
-
-
-# -- single finitary partners --------------------------------------------------
-
-
-@dataclass
-class PartnerAltResult:
-    omega: FinPerm
-    h: GroupElement
-    transcript: ConstructionTranscript
+    dom = set(partial)
+    img = set(partial.values())
+    if len(img) != len(dom):
+        raise ConstructError("partial map is not injective")
+    carrier = dom | img
+    mapping = dict(partial)
+    mapping.update(zip(sorted(carrier - dom), sorted(carrier - img)))
+    perm = FinPerm({x: y for x, y in mapping.items() if x != y})
+    if not perm.is_even():
+        far = max(carrier | {0}) + 2
+        perm = perm * FinPerm.cycle(far, far + 1)
+    return perm.inverse()
 
 
 def _seed_pattern_ok(vals: Sequence[int]) -> bool:
@@ -561,53 +577,28 @@ def _seal(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> PositiveCertif
     return b.finish()
 
 
-def _single_partner(sigma: FinPerm, partial: Dict[int, int], k: int) -> PartnerAltResult:
-    omega = _relabel(partial)
-    h = make_s(omega, k)
-    pos = _positions(omega, sigma.support)
-    if not _layout_ok(sigma, pos, k):
-        raise ConstructError("internal: canonical relabelling does not seal sigma")
-    b = _Builder(G(k), {"g": finitary(sigma), "h": h})
-    cert = _seal(b, "g", pos, k)
-    return PartnerAltResult(omega, h, ConstructionTranscript(dict(b.env), cert))
+def _designation(sigma: FinPerm, k: int) -> Dict[int, int]:
+    """Orbit positions for supp(sigma) that seal one even sigma for G_k.
 
-
-def _even_support(sigma: FinPerm) -> List[int]:
-    if not isinstance(sigma, FinPerm) or sigma.is_identity():
-        raise ConstructError("need a nontrivial finitary permutation")
-    if not sigma.is_even():
-        raise ConstructError("need an even permutation")
-    return sorted(sigma.support)
-
-
-def partner_alt_g1(sigma: FinPerm) -> PartnerAltResult:
-    """An even finitary omega with <sigma, s_omega> = G_1, certified.
-
-    The top point sits on the last slot and its preimage just below it,
-    so the chain's first gap is 1.
+    For G_1 the top point sits on the last slot and its preimage just
+    below it, so the chain's first gap is 1.  For G_2 a 3-cycle placed on
+    {0, 1, 2} is itself a seed.  Otherwise the first edge q -> (q)sigma
+    with a top point p and its preimage off it goes on slots 0 and 2,
+    that preimage on slot 1, the other points from 3 up and p on the next
+    even slot: the chain yields (1, y, y + 2).
     """
-    supp = _even_support(sigma)
-    top = supp[-1]
-    pred = sigma.inverse().apply(top)
-    others = [p for p in supp if p not in (top, pred)]
-    partial = {p: i for i, p in enumerate(others)}
-    partial[pred] = len(supp) - 2
-    partial[top] = len(supp) - 1
-    return _single_partner(sigma, partial, 1)
-
-
-def partner_alt_g2(sigma: FinPerm) -> PartnerAltResult:
-    """An even finitary omega with <sigma, s_omega^2> = G_2, certified.
-
-    A 3-cycle relabelled onto {0, 1, 2} is itself a seed.  Otherwise the
-    first edge q -> (q)sigma with a top point p and its preimage off it
-    goes on slots 0 and 2, that preimage on slot 1, the other points from
-    3 up and p on the next even slot: the chain yields (1, y, y + 2).
-    """
-    supp = _even_support(sigma)
-    if len(supp) == 3:
-        return _single_partner(sigma, {p: i for i, p in enumerate(supp)}, 2)
+    supp = sorted(sigma.support)
     inv = sigma.inverse()
+    if k == 1:
+        top = supp[-1]
+        pred = inv.apply(top)
+        others = [p for p in supp if p not in (top, pred)]
+        partial = {p: i for i, p in enumerate(others)}
+        partial[pred] = len(supp) - 2
+        partial[top] = len(supp) - 1
+        return partial
+    if len(supp) == 3:
+        return {p: i for i, p in enumerate(supp)}
     for q in supp:
         qg = sigma.apply(q)
         for p in supp:
@@ -619,21 +610,59 @@ def partner_alt_g2(sigma: FinPerm) -> PartnerAltResult:
             partial.update((x, 3 + i) for i, x in enumerate(others))
             slot = 3 + len(others)
             partial[p] = slot + slot % 2
-            return _single_partner(sigma, partial, 2)
+            return partial
     raise ConstructError("no usable designation for the seed relabelling")
 
 
-# -- partners for non-finitary elements ----------------------------------------
+def _layouts(ss: Sequence[FinPerm]) -> Iterator[Dict[int, int]]:
+    """Edge layouts of the union of the supports of ss, as maps point ->
+    orbit position.
+
+    An edge b -> (b)g of one element g goes at the bottom, an edge
+    (p)g'^-1 -> p of one element g' at the top, and every other point
+    between them in ascending order.  The roles (g', g) are first two
+    distinct members of ss, then a member with itself, then every other
+    pair drawn from the members and their inverses.  For two members and
+    G_1 the first layout seals both: on consecutive slots the top point
+    of g' has its preimage just below it and the bottom point of g its
+    image just above it, and a chain gap of 1 makes the gcd 1.
+
+    For G_2 the later layouts vary the parities that _layout_ok reads:
+    a one-slot hole may open the bottom edge, the top edge, and each
+    middle point that some member's chain reads (its lowest point and
+    that point's image, its highest point and that point's preimage).
+    """
+    n = len(ss)
+    union = sorted(frozenset().union(*(s.support for s in ss)))
+    gs = tuple(ss) + tuple(s.inverse() for s in ss)  # gs[(i + n) % 2n] inverts gs[i]
+    plain = [(i, j) for i in range(n) for j in range(n) if i != j]
+    plain += [(i, i) for i in range(n)]
+    rest = (r for r in product(range(2 * n), repeat=2) if r not in plain)
+    for ti, bi in chain(plain, rest):
+        for p in sorted(gs[ti].support):
+            x = gs[(ti + n) % (2 * n)].apply(p)
+            for b in sorted(gs[bi].support):
+                y = gs[bi].apply(b)
+                if len({x, p, b, y}) < 4:
+                    continue
+                seq = [b, y] + [q for q in union if q not in (x, p, b, y)] + [x, p]
+                rank = {q: i for i, q in enumerate(seq)}
+                read = set()
+                for s, s_inv in zip(ss, gs[n:]):
+                    lo = min(s.support, key=rank.__getitem__)
+                    hi = max(s.support, key=rank.__getitem__)
+                    read.update((lo, s.apply(lo), hi, s_inv.apply(hi)))
+                holes = [y, p] + [q for q in seq[2:-2] if q in read]
+                for gaps in product((1, 2), repeat=len(holes)):
+                    gap = dict(zip(holes, gaps))
+                    pos, slot = {}, -1
+                    for q in seq:
+                        slot += gap.get(q, 1)
+                        pos[q] = slot
+                    yield pos
 
 
-def _avoid_bound(avoid) -> int:
-    if avoid is None:
-        return 0
-    if isinstance(avoid, int):
-        return abs(avoid)
-    if isinstance(avoid, FinPerm):
-        return max((abs(p) for p in avoid.support), default=0)
-    raise ConstructError("avoid must be an int bound or a FinPerm")
+# -- frames for non-finitary members ---------------------------------------------
 
 
 def _next_prime(n: int) -> int:
@@ -832,160 +861,121 @@ def _nonalt_walk(
     return names
 
 
+# -- common partners -------------------------------------------------------------
+
+
 @dataclass
 class PartnerResult:
-    h: GroupElement
-    sigma: FinPerm
+    h: GroupElement  # conjugator^-1 t^k conjugator
+    conjugator: FinPerm
     certificates: Tuple[PositiveCertificate, ...]
 
 
-def partner_nonalt(
-    k: int, gs: Sequence[GroupElement], avoid=None
-) -> PartnerResult:
-    """One element h = s_sigma^k of class [t^k] generating G_k with each g_i.
+def common_partner(k: int, gs: Sequence[GroupElement]) -> PartnerResult:
+    """One h in the class of t^k generating G_k with each member of gs.
 
-    Every g_i must be a non-finitary member of G_k.  The support of the
-    conjugating cycle sigma avoids the window described by ``avoid``.
+    The finitary members, taken once up to inversion, are laid out on the
+    orbit positions of h: a single one by its designation, several by the
+    first edge layout that seals them all; they need k = 1 or 2.  The
+    non-finitary members get one frame beyond that layout.  h relabels
+    t^k by the frame's cycle times the layout's relabelling.  The
+    certificates follow the order of gs, and each is verified.
     """
     if k < 1:
         raise ConstructError("need k >= 1")
     gs = list(gs)
     if not gs:
         raise ConstructError("need at least one element")
+    grp = G(k)
+    reps: List[FinPerm] = []
     for g in gs:
-        if not member(g, G(k)):
-            raise ConstructError("element %s is not in G_%d" % (g, k))
-        if g.shift == 0:
-            raise ConstructError("element %s is finitary" % g)
-    avoidb = _avoid_bound(avoid)
-    frame = _nonalt_frame(k, gs, avoidb)
-    h = make_s(frame.sigma, k)
-    if in_class_tk(h, k) is None:
-        raise ConstructError("internal: partner is not in class [t^k]")
-    return PartnerResult(h, frame.sigma, _nonalt_certificates(frame, h, gs))
-
-
-# -- partners for pairs ---------------------------------------------------------
+        if not member(g, grp) or g.is_identity():
+            raise ConstructError("element %s is not a nontrivial member of G_%d" % (g, k))
+        if g.shift == 0 and not any(g.fin == r or g.fin == r.inverse() for r in reps):
+            reps.append(g.fin)
+    nonfin = [g for g in gs if g.shift]
+    omega, pos = FinPerm(), {}
+    if reps:
+        if k > 2:
+            raise ConstructError("finitary members need k = 1 or 2, not %d" % k)
+        layouts = [_designation(reps[0], k)] if len(reps) == 1 else _layouts(reps)
+        pos = next((p for p in layouts if all(_layout_ok(s, p, k) for s in reps)), None)
+        if pos is None:
+            raise ConstructError("no relabelling found for the finitary members")
+        omega = _relabel(pos)
+    conjugator = omega
+    if nonfin:
+        # h = omega^-1 s omega for the frame's relabelled t^k s, so the frame
+        # is sized for omega g omega^-1 and lies beyond every point that
+        # omega or a finitary member moves
+        w = finitary(omega)
+        avoidb = max(
+            [g.eventual_bound() for g in nonfin]
+            + [abs(p) for p in omega.support | set(pos)]
+        )
+        frame = _nonalt_frame(k, [w * g * w.inverse() for g in nonfin], avoidb)
+        conjugator = frame.sigma * omega
+    h = make_s(conjugator, k)
+    framed = iter(_nonalt_certificates(frame, h, nonfin) if nonfin else ())
+    certs = []
+    for g in gs:
+        if g.shift:
+            certs.append(next(framed))
+            continue
+        rep = next(r for r in reps if g.fin == r or g.fin == r.inverse())
+        b = _Builder(grp, {"g": g, "h": h})
+        seed = "g"
+        if g.fin != rep:
+            seed = "gg"
+            b.derive(seed, [("g", -1)])
+        certs.append(_seal(b, seed, {p: pos[p] for p in rep.support}, k))
+    return PartnerResult(h, conjugator, tuple(certs))
 
 
 @dataclass
-class PairPartnerResult:
+class PartnerAltResult:
+    omega: FinPerm
     h: GroupElement
-    conjugator: FinPerm
-    certificates: Tuple[PositiveCertificate, PositiveCertificate]
+    transcript: ConstructionTranscript  # named holds the generators g and h
 
 
-def _pair_layouts(s1: FinPerm, s2: FinPerm) -> Iterator[Dict[int, int]]:
-    """Edge layouts of supp(s1) | supp(s2), as maps point -> orbit position.
-
-    An edge b -> (b)g of one element g goes at the bottom, an edge
-    (p)g'^-1 -> p of one element g' at the top, and every other point
-    between them in ascending order.  The roles (g', g) are (s1, s2),
-    (s2, s1), (s1, s1) and (s2, s2) first, then every other pair drawn
-    from s1, s2 and their inverses.  For G_1 the first layout with roles
-    (s1, s2) or (s2, s1) seals both elements: on consecutive slots the
-    top point of g' has its preimage just below it and the bottom point
-    of g its image just above it, and a chain gap of 1 makes the gcd 1.
-
-    For G_2 the later layouts vary the parities that _layout_ok reads:
-    a one-slot hole may open the bottom edge, the top edge, and each
-    middle point that either element's chain reads (its lowest point
-    and that point's image, its highest point and that point's
-    preimage).
-    """
-    union = sorted(s1.support | s2.support)
-    gs = (s1, s2, s1.inverse(), s2.inverse())  # gs[i ^ 2] inverts gs[i]
-    plain = [(0, 1), (1, 0), (0, 0), (1, 1)]
-    for ti, bi in plain + [r for r in product(range(4), repeat=2) if r not in plain]:
-        for p in sorted(gs[ti].support):
-            x = gs[ti ^ 2].apply(p)
-            for b in sorted(gs[bi].support):
-                y = gs[bi].apply(b)
-                if len({x, p, b, y}) < 4:
-                    continue
-                seq = [b, y] + [q for q in union if q not in (x, p, b, y)] + [x, p]
-                rank = {q: i for i, q in enumerate(seq)}
-                read = set()
-                for s, s_inv in ((s1, gs[2]), (s2, gs[3])):
-                    lo = min(s.support, key=rank.__getitem__)
-                    hi = max(s.support, key=rank.__getitem__)
-                    read.update((lo, s.apply(lo), hi, s_inv.apply(hi)))
-                holes = [y, p] + [q for q in seq[2:-2] if q in read]
-                for gaps in product((1, 2), repeat=len(holes)):
-                    gap = dict(zip(holes, gaps))
-                    pos, slot = {}, -1
-                    for q in seq:
-                        slot += gap.get(q, 1)
-                        pos[q] = slot
-                    yield pos
-
-
-def _pair_partner(k: int, g1: GroupElement, g2: GroupElement) -> PairPartnerResult:
-    grp = G(k)
-    single = partner_alt_g1 if k == 1 else partner_alt_g2
-    for g in (g1, g2):
-        if not member(g, grp) or g.is_identity():
-            raise ConstructError("both elements must be nontrivial members of G_%d" % k)
-
-    fin1, fin2 = g1.shift == 0, g2.shift == 0
-    if fin1 and fin2:
-        s1, s2 = g1.fin, g2.fin
-        if s2 == s1 or s2 == s1.inverse():
-            # reuse the first element's chain; derive it from g2 if inverted
-            res = single(s1)
-            pos = _positions(res.omega, s1.support)
-            certs = []
-            for g, inverted in ((g1, False), (g2, s2 != s1)):
-                b = _Builder(grp, {"g": g, "h": res.h})
-                if inverted:
-                    b.derive("gg", [("g", -1)])
-                certs.append(_seal(b, "gg" if inverted else "g", pos, k))
-            return PairPartnerResult(res.h, res.omega, (certs[0], certs[1]))
-        for pos in _pair_layouts(s1, s2):
-            if _layout_ok(s1, pos, k) and _layout_ok(s2, pos, k):
-                break
-        else:
-            raise ConstructError("no relabelling found for the finitary pair")
-        omega = _relabel(pos)
-        h = make_s(omega, k)
-        certs = []
-        for g in (g1, g2):
-            b = _Builder(grp, {"g": g, "h": h})
-            certs.append(_seal(b, "g", {p: pos[p] for p in g.fin.support}, k))
-        return PairPartnerResult(h, omega, (certs[0], certs[1]))
-    if not fin1 and not fin2:
-        pr = partner_nonalt(k, [g1, g2])
-        return PairPartnerResult(pr.h, pr.sigma, (pr.certificates[0], pr.certificates[1]))
-    # mixed: relabel for the finitary one, then frame the other beyond it
-    gf, gn = (g1, g2) if fin1 else (g2, g1)
-    res = single(gf.fin)
-    omega = res.omega
-    wconj = finitary(omega)
-    gprime = wconj * gn * wconj.inverse()
-    avoidb = max(
-        [gn.eventual_bound(), gprime.eventual_bound()]
-        + [abs(p) for p in omega.support | gf.fin.support]
+def _partner_alt(k: int, sigma: FinPerm) -> PartnerAltResult:
+    if not isinstance(sigma, FinPerm):
+        raise ConstructError("need a finitary permutation")
+    res = common_partner(k, [finitary(sigma)])
+    (cert,) = res.certificates
+    return PartnerAltResult(
+        res.conjugator, res.h, ConstructionTranscript(dict(cert.generators), cert)
     )
-    frame = _nonalt_frame(k, [gprime], avoidb)
-    psi = frame.sigma * omega
-    h = make_s(psi, k)
-    posf = _positions(psi, gf.fin.support)
-    if not _layout_ok(gf.fin, posf, k):
-        raise ConstructError("internal: mixed-pair relabelling failed")
-    cert_f = _seal(_Builder(grp, {"g": gf, "h": h}), "g", posf, k)
-    (cert_n,) = _nonalt_certificates(frame, h, [gn])
-    certs = (cert_f, cert_n) if fin1 else (cert_n, cert_f)
-    return PairPartnerResult(h, psi, certs)
 
 
-def pair_partner_g1(g1: GroupElement, g2: GroupElement) -> PairPartnerResult:
+def partner_alt_g1(sigma: FinPerm) -> PartnerAltResult:
+    """An even finitary omega with <sigma, s_omega> = G_1, certified."""
+    return _partner_alt(1, sigma)
+
+
+def partner_alt_g2(sigma: FinPerm) -> PartnerAltResult:
+    """An even finitary omega with <sigma, s_omega^2> = G_2, certified."""
+    return _partner_alt(2, sigma)
+
+
+def partner_nonalt(k: int, gs: Sequence[GroupElement]) -> PartnerResult:
+    """One h of class [t^k] generating G_k with each g_i, all non-finitary."""
+    gs = list(gs)
+    for g in gs:
+        if g.shift == 0:
+            raise ConstructError("element %s is finitary" % g)
+    return common_partner(k, gs)
+
+
+def pair_partner_g1(g1: GroupElement, g2: GroupElement) -> PartnerResult:
     """One h in [t] with <g1, h> = <g2, h> = G_1, both certified."""
-    return _pair_partner(1, g1, g2)
+    return common_partner(1, [g1, g2])
 
 
-def pair_partner_g2(g1: GroupElement, g2: GroupElement) -> PairPartnerResult:
+def pair_partner_g2(g1: GroupElement, g2: GroupElement) -> PartnerResult:
     """One h in [t^2] with <g1, h> = <g2, h> = G_2, both certified."""
-    return _pair_partner(2, g1, g2)
+    return common_partner(2, [g1, g2])
 
 
 # -- support parity reduction ----------------------------------------------------

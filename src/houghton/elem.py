@@ -92,7 +92,8 @@ class GroupElement:
 
     def eventual_bound(self) -> int:
         """Least m >= 0 such that (x)g = x + shift whenever |x| > m."""
-        return max((abs(x) for x in self.fin.support), default=0)
+        supp = self.fin.support
+        return max(max(supp), -min(supp)) if supp else 0
 
     # -- text ------------------------------------------------------------
 

@@ -9,6 +9,7 @@ from houghton import certs
 from houghton.perm import FinPerm
 from houghton.elem import G, H2, GroupElement, finitary, make_s, parse_element
 from houghton.certs import (
+    MAX_POINT,
     MAX_SHIFT,
     MAX_SUPPORT,
     Axiom,
@@ -593,6 +594,52 @@ def test_one_step_gcd_certificate_with_huge_shift_rejected_within_a_second():
     at_limit = pos(G(1), gens(a="(1 2 3)", s="t^%d" % MAX_SHIFT),
                    [Axiom("gcd_criterion", {"cycle": "a", "s": "s"})])
     assert "limit" not in verify(at_limit).reason
+
+
+# -- the point limit: a walk that would cover a far point is refused --------------
+
+_FAR = "(0 %d)" % 10 ** 12
+
+
+@pytest.mark.parametrize("text", [
+    # the window of block_system was a list of 2 * 10^12 points
+    json.dumps({"target": "G1", "generators": {"g": _FAR, "h": "t"},
+                "negative": {"variant": "block_system", "modulus": 2, "relabel": "t"}}),
+    json.dumps({"target": "G1", "generators": {"g": _FAR, "h": "t"},
+                "negative": {"variant": "invariant_set", "element": "h", "orbits": ["inf0"]}}),
+], ids=["block_system", "invariant_set"])
+def test_far_point_certificates_rejected_within_a_second(text):
+    start = time.perf_counter()
+    res = verify(cert_from_json(text))
+    assert time.perf_counter() - start < 1.0
+    assert not res.ok and "exceeds the limit %d" % MAX_POINT in res.reason
+
+
+_FAR_T = "(0 %d) t^2" % (MAX_POINT + 1)
+
+
+@pytest.mark.parametrize("cert", [
+    pos(G(2), gens(c="(1 2 3)", s=_FAR_T), [Axiom("g2_seed", {"cycle": "c", "s": "s"})]),
+    pos(G(1), gens(c="(1 2 3)", s="(0 %d) t" % (MAX_POINT + 1)),
+        [Axiom("gcd_criterion", {"cycle": "c", "s": "s"})]),
+    pos(G(2), gens(c="(1 2 3)", u=_FAR_T),
+        [Axiom("alt_basis", {"step": "u", "base": 10 ** 6, "c": 2, "cycles": ["c"]})]),
+    neg(G(1), gens(a="(0 2 4)", s="t"), "block_system",
+        relabel="(0 %d) t" % (MAX_POINT + 1), modulus=2),
+    neg(G(3), gens(a="(1 2 3)", h="(0 %d) t^3" % (MAX_POINT + 1)),
+        "imprimitivity3", points=[1, 2, 3], h="h"),
+], ids=["g2_seed", "gcd_criterion", "alt_basis", "block_system_relabel", "imprimitivity3"])
+def test_point_beyond_limit_rejected_at_every_walk(cert):
+    start = time.perf_counter()
+    res = verify(cert)
+    assert time.perf_counter() - start < 1.0
+    assert not res.ok and "exceeds the limit %d" % MAX_POINT in res.reason
+
+
+def test_point_at_limit_is_walked():
+    s = "(0 %d) t" % MAX_POINT
+    cert = pos(G(1), gens(c="(1 2 3)", s=s), [Axiom("gcd_criterion", {"cycle": "c", "s": "s"})])
+    assert "limit" not in verify(cert).reason
 
 
 # -- the support limit: a power or product that grows past it is refused --

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +58,17 @@ def test_certify_g2_three_cycle(capsys):
     code, out, _ = run(capsys, "certify", "--group", "G2", "--pair", "(1 2 3)", "t^2")
     assert code == 0
     assert "accept" in out
+
+
+def test_certify_g2_verdicts(capsys):
+    # three points on one orbit of t^2: a verified invariant-set reject
+    code, out, _ = run(capsys, "certify", "--group", "G2", "--pair", "(0 2 4)", "t^2", "--json")
+    assert code == 1
+    cert = cert_from_json(out)
+    assert cert.variant == "invariant_set" and verify(cert).ok
+    # two orbits but no seed pattern: no criterion applies
+    code, _, err = run(capsys, "certify", "--group", "G2", "--pair", "(1 2 5)", "t^2")
+    assert code == 2 and "inapplicable" in err
 
 
 def test_certify_check_file(tmp_path, capsys):
@@ -127,6 +140,25 @@ def test_partner_nonfinitary(capsys):
     assert out.count("positive certificate") == 2
 
 
+def test_partner_mixed_tuple(capsys):
+    code, out, _ = run(capsys, "partner", "--group", "G1", "(1 2 3)", "t", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["certificates"]) == 2
+    for c in data["certificates"]:
+        assert verify(cert_from_json(json.dumps(c))).ok
+
+
+def test_pair_partner_is_partner_with_two_elements(capsys):
+    pair = ("(1 2 3)", "(0 4 8) t^-1")
+    code, out, _ = run(capsys, "pair-partner", "--group", "G1", *pair, "--json")
+    assert code == 0
+    code2, out2, _ = run(capsys, "partner", "--group", "G1", *pair, "--json")
+    assert code2 == 0 and json.loads(out) == json.loads(out2)
+    assert "conjugator" in json.loads(out)
+    assert run(capsys, "pair-partner", "--group", "G1", "t")[0] == 2
+
+
 def test_pair_partner(capsys):
     code, out, _ = run(capsys, "pair-partner", "--group", "G1", "(1 2 3)", "(0 4 8)")
     assert code == 0
@@ -166,3 +198,29 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(0 1) t^1"
+
+
+def _readme_cli_examples():
+    """(argv, exit code) of each command in the README's CLI examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            cmd, _, comment = line.partition("#")
+            if not cmd.strip():
+                continue
+            m = re.match(r"\s*exit (\d)", comment)
+            out.append((shlex.split(cmd)[1:], int(m.group(1)) if m else 0))
+    return out
+
+
+def test_readme_cli_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cert.json").write_text(
+        cert_to_json(gcd_test(FinPerm.cycle(-2, 0, 3), t(1)).certificate)
+    )
+    for argv, want in examples:
+        assert run(capsys, *argv)[0] == want, argv

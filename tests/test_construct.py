@@ -14,12 +14,14 @@ from houghton.elem import (
     parse_element,
     t,
 )
-from houghton.certs import eval_word, verify, verify_positive
+from houghton.certs import cert_from_json, cert_to_json, eval_word, verify, verify_positive
 from houghton.construct import (
     ConstructError,
     alt_basis_words,
+    common_partner,
     euclid_word,
     evens_odds_reduce,
+    g2_seed_test,
     gcd_test,
     pair_partner_g1,
     pair_partner_g2,
@@ -109,6 +111,31 @@ def test_gcd_test_inapplicable():
         gcd_test(FinPerm.cycle(0, 1, 2), t(2))
     with pytest.raises(ConstructError, match="inapplicable"):
         gcd_test(FinPerm.cycle(0, 1), t(1))
+
+
+@pytest.mark.parametrize("cycle,s,verdict", [
+    ((1, 2, 3), "t^2", "positive"),
+    ((0, 2, 4), "t^2", "negative"),
+    ((0, 2, 4), "t^-2", "negative"),
+    # s = (-2 3 7)(0 9 5) t^2 = make_s((0 5 9), 2) relabels the points
+    ((0, 2, 4), "(-2 3 7)(0 9 5) t^2", "positive"),
+    ((0, 1, 3), "(-2 3 7)(0 9 5) t^2", "negative"),
+])
+def test_g2_seed_test(cycle, s, verdict):
+    res = g2_seed_test(FinPerm.cycle(*cycle), parse_element(s))
+    assert res.verdict == verdict
+    assert verify(res.certificate).ok
+    if verdict == "negative":
+        assert res.certificate.variant == "invariant_set"
+
+
+def test_g2_seed_test_inapplicable():
+    # positions 1, 2 and 5: two orbits, but the odd points are 4 apart
+    cases = (((1, 2, 5), t(2)), ((5, 9, 1), make_s(FinPerm.cycle(0, 5, 9), 2)),
+             ((0, 1, 2), t(1)), ((0, 1), t(2)))
+    for cycle, s in cases:
+        with pytest.raises(ConstructError, match="inapplicable"):
+            g2_seed_test(FinPerm.cycle(*cycle), s)
 
 
 # -- words over the basis cycles ----------------------------------------------
@@ -204,12 +231,6 @@ def test_partner_alt_rejects_odd():
 def test_partner_nonalt_translation():
     res = partner_nonalt(1, [t(1)])
     assert in_class_tk(res.h, 1) is not None
-    assert verify_positive(res.certificates[0]).ok
-
-
-def test_partner_nonalt_avoid_window():
-    res = partner_nonalt(3, [t(3)], avoid=50)
-    assert not (set(res.sigma.support) & set(range(-50, 51)))
     assert verify_positive(res.certificates[0]).ok
 
 
@@ -372,6 +393,55 @@ def test_pair_partner_hard_layouts(k, fn, a, b):
     # pair_partner verifies each certificate before returning it
     g1, g2 = parse_element(a), parse_element(b)
     pair_checks(fn(g1, g2), k, g1, g2)
+
+
+def _members(rng, k, kind):
+    return [finitary(rand_even(rng, span=8, size=(3, 6))) if c == "f" else rand_nonfin(rng, k)
+            for c in kind]
+
+
+@pytest.mark.parametrize("kind", ["fff", "ffn", "fnn", "nnn"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_common_partner_triples(k, kind):
+    # a raise is allowed, a wrong accept never: every certificate is
+    # re-read from its JSON and verified again
+    rng = random.Random(1000 * k + kind.count("f"))
+    made = 0
+    for _ in range(4):
+        gs = _members(rng, k, kind)
+        rng.shuffle(gs)
+        try:
+            res = common_partner(k, gs)
+        except ConstructError:
+            continue
+        made += 1
+        assert in_class_tk(res.h, k) is not None
+        assert res.h == make_s(res.conjugator, k)
+        assert len(res.certificates) == len(gs)
+        for cert, g in zip(res.certificates, gs):
+            assert cert.generators == {"g": g, "h": res.h}
+            assert verify(cert_from_json(cert_to_json(cert))).ok
+    assert made
+
+
+def test_common_partner_repeated_finitary_members():
+    # one layout serves a member, its inverse and a repeat of either
+    g = finitary(FinPerm.cycle(0, 1, 2, 5, 3))
+    for k in (1, 2):
+        gs = [g, g.inverse(), t(k), g]
+        res = common_partner(k, gs)
+        for cert, x in zip(res.certificates, gs):
+            assert cert.generators["g"] == x
+        assert res.certificates[0].steps == res.certificates[3].steps
+
+
+def test_common_partner_rejects_finitary_beyond_g2():
+    with pytest.raises(ConstructError):
+        common_partner(3, [finitary(FinPerm.cycle(1, 2, 3))])
+    with pytest.raises(ConstructError):
+        common_partner(1, [])
+    with pytest.raises(ConstructError):
+        common_partner(1, [t(1), finitary(FinPerm())])
 
 
 def test_pair_partner_rejects_nonmember():
