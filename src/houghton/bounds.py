@@ -1,19 +1,21 @@
 """Executable refuters: spread-zero witnesses, the no-finite-dominating-set
 argument, and the ten-cycle defeat sets for G_1 and G_2.
 
-Each operation returns a small finitary witness together with a negative
-certificate, verified before it is handed back, showing that the witness
-and the given element(s) generate a proper subgroup.
+Each refuter returns a small finitary witness together with negative
+certificates, verified before they are handed back, showing that the
+witness and the given element(s) generate a proper subgroup.  One policy,
+`obstruction`, chooses and builds every such certificate.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from math import gcd
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .perm import FinPerm
 from .elem import G, Group, GroupElement, finitary, member
-from .certs import NegativeCertificate, verify_negative
-from .orbits import decompose
+from .certs import NegativeCertificate, verify_negative, walk_error
+from .orbits import OrbitDecomposition, decompose
 
 
 class BoundsError(ValueError):
@@ -39,18 +41,91 @@ def defeat_set(group: Group) -> DefeatSet:
     return DefeatSet(group, cycles)
 
 
-def _checked(cert: NegativeCertificate) -> NegativeCertificate:
-    res = verify_negative(cert)
-    if not res.ok:
-        raise BoundsError("built certificate failed to verify: %s" % res.reason)
+# -- the obstruction policy ------------------------------------------------------
+
+
+def _orbit_variant(
+    sigma: FinPerm, s: GroupElement, name: str, dec: OrbitDecomposition
+) -> Optional[Tuple[str, dict]]:
+    """Steps 3-6 of `obstruction`, read off the orbits dec of s."""
+    pts = sorted(sigma.support)
+    ids = [dec.orbit_id_of(x) for x in pts]
+    fin = ["fin%d" % i for i in range(len(dec.finite))]
+    if fin and len({oid.startswith("fin") for oid in ids}) == 1:
+        return "invariant_set", {"element": name, "orbits": fin}
+    for orb in dec.infinite:
+        oid = "inf%d" % orb.index
+        if oid not in ids:
+            return "invariant_set", {"element": name, "orbits": [oid]}
+    if abs(s.shift) == 1 and not fin:
+        p0, p1, p2 = (dec.coord(x)[1] for x in pts)
+        modulus = gcd(p1 - p0, p2 - p1)
+        if modulus > 1:
+            return "block_system", {"relabel": str(s), "modulus": modulus}
+    if len(set(ids)) == 3 and all(oid.startswith("inf") for oid in ids):
+        return "imprimitivity3", {"points": pts, "h": name}
+    return None
+
+
+def _first_obstruction(
+    group: Group, cycles: Iterable[FinPerm], s: GroupElement, name: str
+) -> Optional[Tuple[FinPerm, NegativeCertificate]]:
+    """The first of cycles that `obstruction` refutes with s, and its
+    certificate; the orbits of s are walked at most once."""
+    if group.kind != "Gk":
+        raise BoundsError("obstructions refute G_k targets only")
+    dec = None
+    for sigma in cycles:
+        if not sigma.is_three_cycle():
+            raise BoundsError("%s is not a 3-cycle" % sigma)
+        if s.shift == 0:
+            found = "finitary", {}
+        elif abs(s.shift) != group.k:
+            found = "shift_lattice", {}
+        else:
+            err = walk_error([s, finitary(sigma)])
+            if err:
+                raise BoundsError(err)
+            if dec is None:
+                dec = decompose(s)
+            found = _orbit_variant(sigma, s, name, dec)
+        if found is not None:
+            cert = NegativeCertificate(group, {"a": finitary(sigma), name: s}, *found)
+            res = verify_negative(cert)
+            if not res.ok:
+                raise BoundsError("built certificate failed to verify: %s" % res.reason)
+            return sigma, cert
+    return None
+
+
+def obstruction(
+    group: Group, sigma: FinPerm, s: GroupElement, name: str
+) -> Optional[NegativeCertificate]:
+    """A verified certificate that <sigma, s> != group, for a 3-cycle sigma,
+    with generators {"a": sigma, name: s}; None when no variant applies.
+
+    The first of these that applies, for group G_k:
+      1. finitary, when s.shift = 0;
+      2. shift_lattice, when |s.shift| != k;
+      3. invariant_set on all finite orbits of s, when supp sigma lies
+         inside their union or outside it;
+      4. invariant_set on the first infinite orbit of s that sigma misses;
+      5. block_system mod the gcd of sigma's position gaps along the orbit
+         of s, when s is conjugate to t or t^-1 and that gcd is > 1;
+      6. imprimitivity3, when sigma's points lie on three infinite orbits.
+    Raises BoundsError when s or sigma passes the kernel's walk limits.
+    """
+    found = _first_obstruction(group, (sigma,), s, name)
+    return None if found is None else found[1]
+
+
+def _found(cert, what: str):
+    if cert is None:
+        raise BoundsError("internal: no obstruction for %s" % what)
     return cert
 
 
-def _all_finite_orbit_ids(dec) -> List[str]:
-    return ["fin%d" % i for i in range(len(dec.finite))]
-
-
-# -- spread zero for k >= 3 -----------------------------------------------------
+# -- the refuters ------------------------------------------------------------------
 
 
 def spread_zero_witness(k: int, h: GroupElement) -> Tuple[FinPerm, NegativeCertificate]:
@@ -64,33 +139,7 @@ def spread_zero_witness(k: int, h: GroupElement) -> Tuple[FinPerm, NegativeCerti
     if not member(h, G(k)):
         raise BoundsError("element is not in G_%d" % k)
     sigma = FinPerm.cycle(1, 2, 3)
-    gens = {"a": finitary(sigma), "h": h}
-    target = G(k)
-    if h.shift == 0:
-        return sigma, _checked(NegativeCertificate(target, gens, "finitary", {}))
-    dec = decompose(h)
-    hit = {dec.orbit_id_of(x) for x in (1, 2, 3)}
-    for orb in dec.infinite:
-        if "inf%d" % orb.index not in hit:
-            cert = NegativeCertificate(
-                target, gens, "invariant_set",
-                {"element": "h", "orbits": ["inf%d" % orb.index]},
-            )
-            return sigma, _checked(cert)
-    # every infinite orbit meets {1, 2, 3}: exactly three orbits, one each
-    if dec.finite:
-        cert = NegativeCertificate(
-            target, gens, "invariant_set",
-            {"element": "h", "orbits": _all_finite_orbit_ids(dec)},
-        )
-        return sigma, _checked(cert)
-    cert = NegativeCertificate(
-        target, gens, "imprimitivity3", {"points": [1, 2, 3], "h": "h"}
-    )
-    return sigma, _checked(cert)
-
-
-# -- no finite dominating set ----------------------------------------------------
+    return sigma, _found(obstruction(G(k), sigma, h, "h"), h)
 
 
 def refute_dominating(
@@ -103,106 +152,17 @@ def refute_dominating(
     """
     if group not in (G(1), G(2)):
         raise BoundsError("refute_dominating applies to G_1 and G_2")
-    k = group.k
     for s in S:
         if not member(s, group):
             raise BoundsError("element %s is not in %s" % (s, group))
     m = max((s.eventual_bound() for s in S), default=0)
     gamma = FinPerm.cycle(m + 1, m + 3, m + 5)
-    certs = []
-    for s in S:
-        gens = {"a": finitary(gamma), "s": s}
-        if s.shift == 0:
-            certs.append(_checked(NegativeCertificate(group, gens, "finitary", {})))
-            continue
-        if abs(s.shift) != k:
-            certs.append(
-                _checked(NegativeCertificate(group, gens, "shift_lattice", {}))
-            )
-            continue
-        dec = decompose(s)
-        if dec.finite:
-            cert = NegativeCertificate(
-                group, gens, "invariant_set",
-                {"element": "s", "orbits": _all_finite_orbit_ids(dec)},
-            )
-            certs.append(_checked(cert))
-            continue
-        if k == 1:
-            # the witness points sit at even index gaps along the orbit of s
-            cert = NegativeCertificate(
-                group, gens, "block_system", {"relabel": str(s), "modulus": 2}
-            )
-            certs.append(_checked(cert))
-        else:
-            # the witness points all lie on one orbit; the other is invariant
-            used = dec.orbit_id_of(m + 1)
-            other = next(
-                orb for orb in dec.infinite if "inf%d" % orb.index != used
-            )
-            cert = NegativeCertificate(
-                group, gens, "invariant_set",
-                {"element": "s", "orbits": ["inf%d" % other.index]},
-            )
-            certs.append(_checked(cert))
-    return gamma, tuple(certs)
-
-
-# -- ten-cycle defeat sets ---------------------------------------------------------
+    return gamma, tuple(_found(obstruction(group, gamma, s, "s"), s) for s in S)
 
 
 def defeat_ten(h: GroupElement, group: Group) -> Tuple[FinPerm, NegativeCertificate]:
-    """Some cycle from the canonical defeat set that h fails against."""
-    if group not in (G(1), G(2)):
-        raise BoundsError("defeat sets exist for G_1 and G_2 only")
+    """The first cycle of the canonical defeat set that h fails against."""
+    cycles = defeat_set(group).cycles
     if not member(h, group):
         raise BoundsError("element is not in %s" % group)
-    k = group.k
-    first = FinPerm.cycle(1, 2, 3)
-    if h.shift == 0:
-        gens = {"a": finitary(first), "h": h}
-        return first, _checked(NegativeCertificate(group, gens, "finitary", {}))
-    if abs(h.shift) != k:
-        gens = {"a": finitary(first), "h": h}
-        return first, _checked(NegativeCertificate(group, gens, "shift_lattice", {}))
-    dec = decompose(h)
-    if k == 1:
-        if not dec.finite:
-            # clean translation-like element: three of the five points have
-            # positions of equal parity on its single orbit
-            for parity in (0, 1):
-                pts = [x for x in range(1, 6) if dec.coord(x)[1] % 2 == parity]
-                if len(pts) >= 3:
-                    sigma = FinPerm.cycle(*pts[:3])
-                    break
-            gens = {"a": finitary(sigma), "h": h}
-            cert = NegativeCertificate(
-                group, gens, "block_system", {"relabel": str(h), "modulus": 2}
-            )
-            return sigma, _checked(cert)
-        # split {1..5} by finite versus infinite orbit; one side has 3 points
-        fin_side = [
-            x for x in range(1, 6) if dec.orbit_id_of(x).startswith("fin")
-        ]
-        inf_side = [x for x in range(1, 6) if x not in fin_side]
-        pts = fin_side[:3] if len(fin_side) >= 3 else inf_side[:3]
-        sigma = FinPerm.cycle(*pts)
-        gens = {"a": finitary(sigma), "h": h}
-        cert = NegativeCertificate(
-            group, gens, "invariant_set",
-            {"element": "h", "orbits": _all_finite_orbit_ids(dec)},
-        )
-        return sigma, _checked(cert)
-    # G_2: one of the two infinite orbits contains at most two of {1..5}
-    ids = {x: dec.orbit_id_of(x) for x in range(1, 6)}
-    for orb in dec.infinite:
-        oid = "inf%d" % orb.index
-        outside = [x for x in range(1, 6) if ids[x] != oid]
-        if len(outside) >= 3:
-            sigma = FinPerm.cycle(*outside[:3])
-            gens = {"a": finitary(sigma), "h": h}
-            cert = NegativeCertificate(
-                group, gens, "invariant_set", {"element": "h", "orbits": [oid]}
-            )
-            return sigma, _checked(cert)
-    raise BoundsError("internal: no defeating cycle found")
+    return _found(_first_obstruction(group, cycles, h, "h"), h)

@@ -119,9 +119,10 @@ def _named(env: Dict[str, GroupElement], name) -> Optional[GroupElement]:
     return env.get(name) if isinstance(name, str) else None
 
 
-def _walk_error(gs: Iterable[GroupElement]) -> Optional[str]:
+def walk_error(gs: Iterable[GroupElement]) -> Optional[str]:
     """Why the kernel will not walk the orbits of gs, or scan a window
-    around them, or None.  Every such walk or scan calls this first."""
+    around them, or None.  Every such walk or scan calls this first, and so
+    do `bounds.obstruction` and the criterion tests of `construct`."""
     for g in gs:
         if abs(g.shift) > MAX_SHIFT:
             return "|shift| %d exceeds the limit %d" % (abs(g.shift), MAX_SHIFT)
@@ -195,7 +196,7 @@ def _axiom_gcd_criterion(env, facts, params) -> Optional[str]:
     d = abs(s.shift)
     if d < 1:
         return "gcd_criterion: s is finitary"
-    err = _walk_error([s])
+    err = walk_error([s])
     if err:
         return "gcd_criterion: %s" % err
     dec = decompose(s)
@@ -226,7 +227,7 @@ def _axiom_g2_seed(env, facts, params) -> Optional[str]:
         return "g2_seed: unknown element name"
     if cyc.shift != 0 or not cyc.fin.is_three_cycle():
         return "g2_seed: %s is not a finitary 3-cycle" % params.get("cycle")
-    err = _walk_error([s])
+    err = walk_error([s])
     if err:
         return "g2_seed: %s" % err
     w = in_class_tk(s, 2)
@@ -262,7 +263,7 @@ def _axiom_alt_basis(env, facts, params) -> Optional[str]:
         return "alt_basis: bad base/c parameters"
     if abs(u.shift) != c:
         return "alt_basis: step element shift is not +-%d" % c
-    err = _walk_error([u])
+    err = walk_error([u])
     if err:
         return "alt_basis: %s" % err
     if u.eventual_bound() > base:
@@ -300,7 +301,7 @@ def _axiom_odd_even_mix(env, facts, params) -> Optional[str]:
         return "odd_even_mix: unknown element name"
     if not any(f[0] == "alt_on_orbit" and f[1] == s_name for f in facts):
         return "odd_even_mix: no alt_on_orbit fact for %r" % s_name
-    err = _walk_error([s])
+    err = walk_error([s])
     if err:
         return "odd_even_mix: %s" % err
     dec = decompose(s)
@@ -485,7 +486,7 @@ def _neg_block_system(cert) -> VerifyResult:
         s = parse_element(cert.params.get("relabel", ""))
     except ElemError as exc:
         return _fail("block_system: bad relabel element: %s" % exc)
-    err = _walk_error([s])
+    err = walk_error([s])
     if err:
         return _fail("block_system: relabel element: %s" % err)
     # s is conjugate to t or t^-1 exactly when it is a single infinite orbit;
@@ -571,7 +572,7 @@ def verify_negative(cert: NegativeCertificate) -> VerifyResult:
     if fn is None:
         return _fail("unknown negative variant %r" % cert.variant)
     if cert.variant in _WALKING_NEGATIVES:
-        err = _walk_error(cert.generators.values())
+        err = walk_error(cert.generators.values())
         if err:
             return _fail("%s: %s" % (cert.variant, err))
     return fn(cert)

@@ -155,8 +155,12 @@ def _cmd_member(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.check:
-        with open(args.check) as f:
-            cert = cert_from_json(f.read())
+        try:
+            with open(args.check, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError("%s is not UTF-8 text: %s" % (args.check, exc))
+        cert = cert_from_json(text)
         res = verify(cert)
         if args.json:
             _emit_json({"ok": res.ok, "reason": res.reason})

@@ -31,13 +31,14 @@ from .certs import (
     CertError,
     CheckEqual,
     Derive,
-    NegativeCertificate,
     PositiveCertificate,
     Word,
     eval_word,
     verify,
     verify_positive,
+    walk_error,
 )
+from .bounds import BoundsError, obstruction
 
 
 class ConstructError(ValueError):
@@ -255,6 +256,26 @@ def euclid_word(d1: int, d2: int) -> Word:
     return word
 
 
+def _check_walk(cycle: FinPerm, s: GroupElement) -> None:
+    """Refuse a criterion test whose orbit walk the kernel would refuse."""
+    if not cycle.is_three_cycle():
+        raise ConstructError("criterion inapplicable: not a 3-cycle")
+    err = walk_error([s, finitary(cycle)])
+    if err:
+        raise ConstructError("criterion inapplicable: %s" % err)
+
+
+def _negative(target: Group, cycle: FinPerm, s: GroupElement, why: str):
+    """bounds.obstruction for (cycle, s), or ConstructError(why) if none applies."""
+    try:
+        neg = obstruction(target, cycle, s, "s")
+    except BoundsError as exc:
+        raise ConstructError(str(exc)) from exc
+    if neg is None:
+        raise ConstructError(why)
+    return neg
+
+
 @dataclass
 class GcdTestResult:
     d1: int
@@ -279,8 +300,7 @@ def gcd_test(cycle: FinPerm, s: GroupElement) -> GcdTestResult:
     The verdict depends only on the gcd of the gaps between the cycle's
     points measured along the single orbit of s.
     """
-    if not cycle.is_three_cycle():
-        raise ConstructError("criterion inapplicable: not a 3-cycle")
+    _check_walk(cycle, s)
     w = in_class_tk(s, 1)
     if w is None:
         raise ConstructError(
@@ -294,16 +314,10 @@ def gcd_test(cycle: FinPerm, s: GroupElement) -> GcdTestResult:
     q0, q1, q2 = sorted(rel[p] for p in pts)
     d1, d2 = q1 - q0, q2 - q1
     g = math.gcd(d1, d2)
-    gens = {"a": finitary(cycle), "s": s}
     if g > 1:
-        neg = NegativeCertificate(
-            G(1), gens, "block_system", {"relabel": str(s), "modulus": g}
-        )
-        res = verify(neg)
-        if not res.ok:
-            raise ConstructError("block system certificate failed: %s" % res.reason)
-        return GcdTestResult(d1, d2, g, "negative", neg)
-    b = _Builder(G(1), gens)
+        why = "internal: no obstruction for gaps %d, %d" % (d1, d2)
+        return GcdTestResult(d1, d2, g, "negative", _negative(G(1), cycle, s, why))
+    b = _Builder(G(1), {"a": finitary(cycle), "s": s})
     # centre the middle point of the cycle at relabelled position 0
     b.derive("c0", [("s", q1), ("a", 1), ("s", -q1)])
     c0 = b.env["c0"]
@@ -335,32 +349,20 @@ def g2_seed_test(cycle: FinPerm, s: GroupElement) -> SeedTestResult:
 
     Read where s becomes t^2, two points of one parity two apart and one
     of the other form a g2_seed; three points of one parity lie on one
-    orbit of s, which both elements leave invariant.  Any other pattern
-    raises ConstructError.
+    orbit of s, so the cycle fixes the other, which both elements leave
+    invariant.  Any other pattern raises ConstructError.
     """
-    if not cycle.is_three_cycle():
-        raise ConstructError("criterion inapplicable: not a 3-cycle")
+    _check_walk(cycle, s)
     w = in_class_tk(s, 2)
     if w is None:
         raise ConstructError("criterion inapplicable: s is not conjugate to t^2 or t^-2")
     vals = tuple(sorted(class_tk_relabel(s, w, tuple(cycle.support)).values()))
-    gens = {"a": finitary(cycle), "s": s}
-    if _seed_pattern_ok(vals):
-        verdict = "positive"
-        cert = PositiveCertificate(G(2), gens, (Axiom("g2_seed", {"cycle": "a", "s": "s"}),))
-    elif len({v % 2 for v in vals}) == 1:
-        # class_tk_relabel puts the orbit inf<j> of s on the residue j mod 2
-        verdict = "negative"
-        params = {"element": "s", "orbits": ["inf%d" % (vals[0] % 2)]}
-        cert = NegativeCertificate(G(2), gens, "invariant_set", params)
-    else:
-        raise ConstructError(
-            "criterion inapplicable: positions %r are neither a seed nor on one orbit" % (vals,)
-        )
-    res = verify(cert)
-    if not res.ok:
-        raise ConstructError("%s certificate failed: %s" % (verdict, res.reason))
-    return SeedTestResult(vals, verdict, cert)
+    if not _seed_pattern_ok(vals):
+        why = "criterion inapplicable: positions %r are neither a seed nor on one orbit"
+        return SeedTestResult(vals, "negative", _negative(G(2), cycle, s, why % (vals,)))
+    b = _Builder(G(2), {"a": finitary(cycle), "s": s})
+    b.axiom("g2_seed", {"cycle": "a", "s": "s"})
+    return SeedTestResult(vals, "positive", b.finish())
 
 
 # -- words over the basis 3-cycles (1 2 j) ------------------------------------

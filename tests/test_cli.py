@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,32 @@ def test_pair_partner_is_partner_with_two_elements(capsys):
     assert code2 == 0 and json.loads(out) == json.loads(out2)
     assert "conjugator" in json.loads(out)
     assert run(capsys, "pair-partner", "--group", "G1", "t")[0] == 2
+
+
+def test_certify_check_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, "certify", "--check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+FAR = "1000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["defeat", "--group", "G1", "--elem", "(0 1 %s) t" % FAR],
+    ["spread-zero", "--group", "G3", "--elem", "(0 1 %s) t^3" % FAR],
+    ["refute-dominating", "--group", "G1", "(0 1 %s) t" % FAR],
+    ["certify", "--group", "G1", "--pair", "(1 2 3)", "(0 %s) t" % FAR],
+    ["certify", "--group", "G2", "--pair", "(1 2 3)", "(0 %s) t^2" % FAR],
+])
+def test_over_limit_inputs_exit_2_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exceeds the limit" in err
 
 
 def test_pair_partner(capsys):
