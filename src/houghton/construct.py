@@ -9,6 +9,7 @@ certificate, never a wrongly accepted one.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -91,10 +92,14 @@ class _Builder:
             val = eval_word(self.env, w)
         except CertError as exc:
             raise ConstructError("cannot derive %r: %s" % (name, exc)) from exc
+        return self.record(name, w, val)
+
+    def record(self, name: str, word: Word, val: GroupElement) -> GroupElement:
+        """A Derive step whose value the caller knows; finish() re-checks it."""
         if name in self.env:
             raise ConstructError("name %r already used" % name)
         self.env[name] = val
-        self.steps.append(Derive(name, w))
+        self.steps.append(Derive(name, _merge_word(word)))
         return val
 
     def pin(self, name: str) -> GroupElement:
@@ -700,14 +705,14 @@ def _nonalt_frame(k: int, gs: Sequence[GroupElement], avoidb: int) -> _Frame:
         for j in range(8):
             c = c0 * ((q + 2) // c0 + 1 + j)
             powers = tuple(-c // s for s in shifts)
-            fins = [(g ** p).fin for g, p in zip(gs, powers)]
-            orders = tuple(f.order() for f in fins)
+            raised = [g ** p for g, p in zip(gs, powers)]
+            orders = tuple(r.fin.order() for r in raised)
             if any(r % q == 0 for r in orders):
                 continue
             m = max(
                 [avoidb]
                 + [g.eventual_bound() for g in gs]
-                + [(g ** p).eventual_bound() for g, p in zip(gs, powers)]
+                + [r.eventual_bound() for r in raised]
             )
             base = m + 2 * c + 9
             sigma = FinPerm.cycle(*range(base + 1, base + q + 1))
@@ -716,9 +721,9 @@ def _nonalt_frame(k: int, gs: Sequence[GroupElement], avoidb: int) -> _Frame:
 
 
 def _nonalt_certificates(
-    frame: _Frame, h: GroupElement, gs: Sequence[GroupElement]
+    frame: _Frame, w: FinPerm, gs: Sequence[GroupElement]
 ) -> Tuple[PositiveCertificate, ...]:
-    """Certificates that h generates G_k with each g in gs.
+    """Certificates that h = make_s(w, k) generates G_k with each g in gs.
 
     Each one derives z = g^p h^(c/k), its power mu and the power nu of mu
     that acts as sigma^(k+1) on the frame block and its inverse on the
@@ -729,6 +734,7 @@ def _nonalt_certificates(
     k, q, c = frame.k, frame.q, frame.c
     sigma = frame.sigma
     nu = finitary(sigma ** (k + 1) * (sigma ** -(k + 1)).translate(c))
+    h = make_s(w, k)
     shared = _Builder(G(k), {"h": h, "nu": nu})
     # the translate of nu by c + q - 1 meets supp(nu) in a single point,
     # so conjugating nu by it renames that point and the quotient with nu
@@ -742,7 +748,7 @@ def _nonalt_certificates(
     if t0.shift != 0 or not t0.fin.is_three_cycle():
         raise ConstructError("internal: overlap step did not give a 3-cycle")
     b0 = frame.base + 3 * c
-    names = _nonalt_walk(shared, frame, h, b0)
+    names = _nonalt_walk(shared, frame, w, b0)
     shared.axiom("alt_basis", {"step": "h", "base": b0, "c": k, "cycles": names})
     out = []
     for g, power, order in zip(gs, frame.powers, frame.orders):
@@ -759,8 +765,15 @@ def _nonalt_certificates(
     return tuple(out)
 
 
+def _translates(nu: FinPerm, w: FinPerm) -> Callable[[int], FinPerm]:
+    """delta -> nu conjugated by h^(delta/k), h = make_s(w, k), without a
+    power of h: h^n = w^-1 t^(kn) w moves each x to ((x)w^-1 + kn)w."""
+    pulled = nu.conjugate(w.inverse())
+    return lambda delta: pulled.translate(delta).conjugate(w)
+
+
 def _nonalt_walk(
-    b: _Builder, frame: _Frame, h: GroupElement, b0: int
+    b: _Builder, frame: _Frame, w: FinPerm, b0: int
 ) -> List[str]:
     """Derive the 3-cycles (b0+1, b0+2, b0+j) for j = 3..k+2.
 
@@ -774,40 +787,50 @@ def _nonalt_walk(
     points onto the other pin and the sweep positions.
     """
     k, q, c, base = frame.k, frame.q, frame.c, frame.base
-    nu = b.env["nu"]
-    # per delta: the support of the h-translate of nu, its map and inverse map
-    vcache: Dict[int, Tuple[frozenset, Dict[int, int], Dict[int, int]]] = {}
-    names_by_delta: Dict[int, str] = {}
-    fcount = [0]
+    translate = _translates(b.env["nu"].fin, w)
+    # per delta: the h-translate of nu, its support and its inverse
+    vcache: Dict[int, Tuple[FinPerm, frozenset, FinPerm]] = {}
+    # per point: every move (support, delta, image, preimage) in search order
+    moves_at: Dict[int, List[Tuple[frozenset, int, int, int]]] = {}
+    names_by_delta = {0: "nu"}
+    named = [0]  # the deltas in names_by_delta, sorted
 
-    def translate_of_nu(delta: int) -> Tuple[frozenset, Dict[int, int], Dict[int, int]]:
+    def translate_of_nu(delta: int) -> Tuple[FinPerm, frozenset, FinPerm]:
         if delta not in vcache:
-            val = nu.conjugate(h ** (delta // k))
-            supp = val.fin.support
-            fwd = {x: val.apply(x) for x in supp}
-            vcache[delta] = (supp, fwd, {y: x for x, y in fwd.items()})
+            val = translate(delta)
+            vcache[delta] = (val, val.support, val.inverse())
         return vcache[delta]
 
     def conjugator_name(delta: int) -> str:
+        # the conjugate by h^n of the nearest named translate (ties to the
+        # smaller delta), so that the kernel raises h only to small powers
         if delta not in names_by_delta:
-            name = "f%d" % fcount[0]
-            fcount[0] += 1
-            b.derive(name, [("h", -delta // k), ("nu", 1), ("h", delta // k)])
+            i = bisect_left(named, delta)
+            near = min(named[max(i - 1, 0):i + 1], key=lambda d: (abs(delta - d), d))
+            n = (delta - near) // k
+            name = "f%d" % (len(named) - 1)
+            word = (("h", -n), (names_by_delta[near], 1), ("h", n))
+            b.record(name, word, finitary(translate_of_nu(delta)[0]))
             names_by_delta[delta] = name
+            named.insert(i, delta)
         return names_by_delta[delta]
 
     def neighbours(p: int, others: frozenset):
-        for blockstart in (base + 1, base + c + 1):
-            # only deltas that are multiples of k, in ascending u
-            for u in range((p - blockstart) % k, q, k):
-                delta = p - (blockstart + u)
-                # h relabels t^k by frame.sigma (times a permutation far
-                # below it in a mixed pair) and p lies above both, so
-                # h^(delta/k) carries the block onto a set that holds p
-                supp, fwd, inv = translate_of_nu(delta)
-                if supp.isdisjoint(others):
-                    yield delta, 1, fwd[p]
-                    yield delta, -1, inv[p]
+        if p not in moves_at:
+            moves = moves_at[p] = []
+            for blockstart in (base + 1, base + c + 1):
+                # only deltas that are multiples of k, in ascending u
+                for u in range((p - blockstart) % k, q, k):
+                    delta = p - (blockstart + u)
+                    # h relabels t^k by frame.sigma (times a permutation far
+                    # below it in a mixed pair) and p lies above both, so
+                    # h^(delta/k) carries the block onto a set that holds p
+                    val, supp, inv = translate_of_nu(delta)
+                    moves.append((supp, delta, val.apply(p), inv.apply(p)))
+        for supp, delta, image, preimage in moves_at[p]:
+            if supp.isdisjoint(others):
+                yield delta, 1, image
+                yield delta, -1, preimage
 
     spread = c + q + 5
     far = [b0 + (i + 2) * spread for i in range(3)]
@@ -918,7 +941,7 @@ def common_partner(k: int, gs: Sequence[GroupElement]) -> PartnerResult:
         frame = _nonalt_frame(k, [w * g * w.inverse() for g in nonfin], avoidb)
         conjugator = frame.sigma * omega
     h = make_s(conjugator, k)
-    framed = iter(_nonalt_certificates(frame, h, nonfin) if nonfin else ())
+    framed = iter(_nonalt_certificates(frame, conjugator, nonfin) if nonfin else ())
     certs = []
     for g in gs:
         if g.shift:

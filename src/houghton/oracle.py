@@ -78,29 +78,28 @@ def _raw(g: GroupElement) -> Tuple[int, Dict[int, int]]:
 
 
 def _rmul(
-    state: Tuple[int, Dict[int, int]], gen: Tuple[int, Dict[int, int], Dict[int, int]]
+    state: Tuple[int, Dict[int, int]], gen: Tuple[int, Dict[int, int]]
 ) -> Tuple[int, Dict[int, int]]:
-    """Right-multiply a raw (shift, map) state by a prepared generator."""
+    """Right-multiply a raw (shift, map) state by a raw generator."""
     ca, ma = state
-    cb, mb, _ = gen
+    cb, mb = gen
     out: Dict[int, int] = {}
     # a point can move only if the state moves it or its image under the
-    # state lands in the generator's support
-    inv = {v: k for k, v in ma.items()}
+    # state lands in the generator's support; the preimage of such a y is
+    # y - ca unless ma moves y - ca, and then it is a point of ma itself
     xs = set(ma)
-    for y in mb:
-        z = y - ca
-        xs.add(inv.get(z, z))
+    xs.update(y - ca for y in mb)
+    aget, bget = ma.get, mb.get
     for x in xs:
-        y = ma.get(x, x) + ca
-        y = mb.get(y, y) + cb
-        if y != x + ca + cb:
-            out[x] = y - ca - cb
+        y = aget(x, x) + ca
+        y = bget(y, y) - ca  # the image under the product, less its shift
+        if y != x:
+            out[x] = y
     return ca + cb, out
 
 
 def _key(state: Tuple[int, Dict[int, int]]):
-    return (state[0], tuple(sorted(state[1].items())))
+    return (state[0], frozenset(state[1].items()))
 
 
 _LETTERS = (("g", 1), ("g", -1), ("h", 1), ("h", -1))
@@ -118,8 +117,7 @@ def _ball_scan(
     gens = {}
     for name, el in (("g", g), ("h", h)):
         for e in (1, -1):
-            c, m = _raw(el if e == 1 else el.inverse())
-            gens[(name, e)] = (c, m, {v: k for k, v in m.items()})
+            gens[(name, e)] = _raw(el if e == 1 else el.inverse())
     start = (0, {})
     seen = {_key(start)}
     res = visit(start, ())
@@ -142,7 +140,6 @@ def _ball_scan(
                 if res is not None:
                     return res, len(seen)
                 nxt.append((child, cw))
-        nxt.sort(key=lambda item: _key(item[0]))
         frontier = nxt
     return None, len(seen)
 

@@ -3,6 +3,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from houghton import construct
 from houghton.perm import FinPerm
@@ -14,7 +15,7 @@ from houghton.elem import (
     parse_element,
     t,
 )
-from houghton.certs import cert_from_json, cert_to_json, eval_word, verify, verify_positive
+from houghton.certs import Derive, cert_from_json, cert_to_json, eval_word, verify, verify_positive
 from houghton.construct import (
     ConstructError,
     alt_basis_words,
@@ -255,11 +256,43 @@ def test_partner_nonalt_random(seed):
 
 
 def test_partner_nonalt_large_shift():
-    # the conjugators h^(delta/k) reach delta near 33,000: an a-priori
-    # support bound of |n| |supp| on powers rejected them; partner_nonalt
-    # verifies its certificate before returning it
+    # the walk's translates of nu reach delta 35,057, but each conjugator
+    # word raises h only by the distance to its nearest named translate
+    # (5,009 at most); partner_nonalt verifies its certificate before
+    # returning it
     res = partner_nonalt(1, [t(5003)])
     assert in_class_tk(res.h, 1) is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=-40, max_value=40),
+    st.randoms(use_true_random=False),
+)
+def test_translates_relabel_nu(k, q, c, n, rng):
+    # w is a frame q-cycle times a scrambled part below it, as in
+    # common_partner; the relabelled nu is nu conjugated by h^n
+    base = 2 * c + 20
+    sigma = FinPerm.cycle(*range(base + 1, base + q + 1))
+    w = sigma * rand_even(rng)
+    nu = sigma ** (k + 1) * (sigma ** -(k + 1)).translate(c)
+    relabelled = construct._translates(nu, w)(n * k)
+    assert finitary(relabelled) == finitary(nu).conjugate(make_s(w, k) ** n)
+
+
+def test_partner_nonalt_short_conjugator_words():
+    # each f-step conjugates the nearest named translate by h^n, so the
+    # exponents stay small however far the walk reaches
+    res = partner_nonalt(1, [t(503)])
+    (cert,) = res.certificates
+    fsteps = [s for s in cert.steps if isinstance(s, Derive) and s.name.startswith("f")]
+    assert fsteps
+    assert sum(abs(s.word[-1][1]) for s in fsteps) <= 10_000
+    for c in res.certificates:
+        assert verify(cert_from_json(cert_to_json(c))).ok
 
 
 def test_partner_nonalt_walks_once_per_frame(monkeypatch):

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from houghton.perm import FinPerm
-from houghton.elem import finitary, t
+from houghton.elem import GroupElement, finitary, t
 from houghton.certs import eval_word
 from houghton.oracle import (
     OracleError,
+    _raw,
+    _rmul,
     ball_affine_counterexample,
     ball_contains,
     bfs_closure_finite,
@@ -99,3 +102,15 @@ def test_affine_scan_coprime_pair_finds_violator():
     g = finitary(FinPerm.cycle(-1, 0, 1))
     rep = ball_affine_counterexample(g, t(1), 2, 4)
     assert rep.found is not None
+
+
+@st.composite
+def _elements(draw):
+    pts = draw(st.lists(st.integers(min_value=-8, max_value=8), unique=True, max_size=6))
+    img = draw(st.permutations(pts))
+    return GroupElement(FinPerm(dict(zip(pts, img))), draw(st.integers(min_value=-3, max_value=3)))
+
+
+@given(_elements(), _elements())
+def test_rmul_matches_the_group_product(a, b):
+    assert _rmul(_raw(a), _raw(b)) == _raw(a * b)
