@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .perm import FinPerm
 from .elem import (
@@ -151,10 +151,49 @@ class _Builder:
 # Conjugating a 3-cycle X by a translated copy of a fixed 3-cycle moves at
 # most the points of X that lie in the copy's support.  If the copy meets
 # supp(X) in a single point, exactly that point is renamed.  A breadth-first
-# search over such moves walks one point of X at a time to a chosen target.
+# search over such moves walks one point of X at a time to a chosen target,
+# or all three points of X to a triple a criterion accepts.
 
 
 def _bfs_walk(
+    start: Hashable,
+    done: Callable[[Hashable], bool],
+    neighbours: Callable[[Hashable], Iterator[Tuple[object, Hashable]]],
+    depth: Optional[int] = None,
+) -> Optional[List[object]]:
+    """The moves of a shortest walk from start to a node where done holds,
+    or None if no such node lies within depth moves (None: any number).
+
+    neighbours(node) yields the moves (move, next node) open at node,
+    always in the same order, so the walk found is a function of the
+    input alone.
+    """
+    if done(start):
+        return []
+    seen = {start: None}
+    frontier = [start]
+    level = 0
+    while frontier and level != depth:
+        level += 1
+        nxt = []
+        for node in frontier:
+            for move, node2 in neighbours(node):
+                if node2 in seen:
+                    continue
+                seen[node2] = (node, move)
+                if done(node2):
+                    moves = []
+                    while seen[node2] is not None:
+                        node2, move = seen[node2]
+                        moves.append(move)
+                    moves.reverse()
+                    return moves
+                nxt.append(node2)
+        frontier = nxt
+    return None
+
+
+def _point_walk(
     start: int,
     target: int,
     others: frozenset,
@@ -162,33 +201,22 @@ def _bfs_walk(
     lo: int,
     hi: int,
 ) -> List[Tuple[int, int]]:
-    """Moves (m, e) of a shortest walk from start to target inside [lo, hi].
+    """Moves (m, e) of a shortest walk of one point from start to target
+    inside [lo, hi].
 
     neighbours(p, others) yields the moves (m, e, next point) open at p
-    while the other tracked points are others, always in the same order,
-    so the walk found is a function of the input alone.
+    while the other tracked points are others.
     """
-    if start == target:
-        return []
-    seen = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for m, e, p2 in neighbours(p, others):
-                if p2 < lo or p2 > hi or p2 in seen:
-                    continue
-                seen[p2] = (p, m, e)
-                if p2 == target:
-                    moves = []
-                    while seen[p2] is not None:
-                        p2, m, e = seen[p2]
-                        moves.append((m, e))
-                    moves.reverse()
-                    return moves
-                nxt.append(p2)
-        frontier = nxt
-    raise ConstructError("no conjugation walk from %d to %d" % (start, target))
+
+    def step(p: int):
+        for m, e, p2 in neighbours(p, others):
+            if lo <= p2 <= hi:
+                yield (m, e), p2
+
+    moves = _bfs_walk(start, target.__eq__, step)
+    if moves is None:
+        raise ConstructError("no conjugation walk from %d to %d" % (start, target))
+    return moves
 
 
 def _reduction_moves(
@@ -219,7 +247,7 @@ def _reduction_moves(
     moves: List[Tuple[int, int]] = []
     for pid, tgt in plans:
         others = frozenset(v for k, v in tracked.items() if k != pid)
-        moves.extend(_bfs_walk(tracked[pid], tgt, others, neighbours, lo, hi))
+        moves.extend(_point_walk(tracked[pid], tgt, others, neighbours, lo, hi))
         tracked[pid] = tgt
     return moves
 
@@ -526,6 +554,36 @@ def _seed_pattern_ok(vals: Sequence[int]) -> bool:
     return len(pair) == 2 and len(lone) == 1 and abs(pair[0] - pair[1]) == 2
 
 
+# the axiom that closes a certificate for G_k, k = 1 or 2, on one 3-cycle
+_CLOSING_AXIOM = {1: "gcd_criterion", 2: "g2_seed"}
+
+
+def _closes(k: int, vals: Sequence[int]) -> bool:
+    """Whether the closing axiom for G_k accepts a 3-cycle whose points sit
+    at the orbit positions vals of the relabelled t^k, k = 1 or 2.
+
+    G_1 needs coprime gaps between the sorted positions, G_2 the seed
+    pattern.
+    """
+    if k == 1:
+        a, m, z = sorted(vals)
+        return math.gcd(m - a, z - m) == 1
+    return _seed_pattern_ok(vals)
+
+
+def _closing(k: int, w: FinPerm) -> Callable[[Sequence[int]], bool]:
+    """Whether h = make_s(w, k), k = 1 or 2, closes G_k on a 3-cycle, as a
+    test on the cycle's points.
+
+    h moves each x to ((x)w^-1 + k)w, so y(x) = (x)w^-1 is a coordinate in
+    which h translates by k.  For k = 2 the parity of y names the orbit of
+    h, and class_tk_relabel differs from y by a constant per orbit, so the
+    seed pattern reads the same on y.
+    """
+    w_inv = w.inverse()
+    return lambda pts: _closes(k, [w_inv.apply(p) for p in pts])
+
+
 def _layout_ok(sigma: FinPerm, pos: Dict[int, int], k: int) -> bool:
     """Whether h = make_s(omega, k), k = 1 or 2, seals sigma via _chain.
 
@@ -538,16 +596,14 @@ def _layout_ok(sigma: FinPerm, pos: Dict[int, int], k: int) -> bool:
     """
     supp = sigma.support
     if k == 2 and len(supp) == 3:
-        return _seed_pattern_ok([pos[p] for p in supp])
+        return _closes(2, [pos[p] for p in supp])
     top = max(supp, key=pos.__getitem__)
     bot = min(supp, key=pos.__getitem__)
     y = pos[top]
     span = y - pos[bot]
     a = pos[sigma.inverse().apply(top)]
     m = pos[sigma.apply(bot)] + span
-    if k == 1:
-        return math.gcd(y - a, m - y) == 1
-    return span % 2 == 0 and _seed_pattern_ok((a, y, m))
+    return (k == 1 or span % 2 == 0) and _closes(k, (a, y, m))
 
 
 def _chain(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> str:
@@ -579,8 +635,7 @@ def _chain(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> str:
 
 def _seal(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> PositiveCertificate:
     """Chain the seed to a 3-cycle, close with the axiom for G_k, verify."""
-    variant = "gcd_criterion" if k == 1 else "g2_seed"
-    b.axiom(variant, {"cycle": _chain(b, seed, pos, k), "s": "h"})
+    b.axiom(_CLOSING_AXIOM[k], {"cycle": _chain(b, seed, pos, k), "s": "h"})
     return b.finish()
 
 
@@ -727,9 +782,11 @@ def _nonalt_certificates(
 
     Each one derives z = g^p h^(c/k), its power mu and the power nu of mu
     that acts as sigma^(k+1) on the frame block and its inverse on the
-    block's translate by c, whatever g is.  Every later step (the 3-cycle
-    T0, the walk and the alt_basis axiom) depends on h and nu alone, so
-    it is derived once and appended to each certificate with its values.
+    block's translate by c, whatever g is.  Every later step depends on h
+    and nu alone, so it is derived once and appended to each certificate
+    with its values: the 3-cycle T0, then for k = 1 and 2 a conjugate of
+    T0 that gcd_criterion or g2_seed accepts with h, found by a short
+    search, and otherwise the walk and the alt_basis axiom.
     """
     k, q, c = frame.k, frame.q, frame.c
     sigma = frame.sigma
@@ -747,9 +804,14 @@ def _nonalt_certificates(
     t0 = shared.derive("T0", [("nu", 1), ("s0", -1)])
     if t0.shift != 0 or not t0.fin.is_three_cycle():
         raise ConstructError("internal: overlap step did not give a 3-cycle")
-    b0 = frame.base + 3 * c
-    names = _nonalt_walk(shared, frame, w, b0)
-    shared.axiom("alt_basis", {"step": "h", "base": b0, "c": k, "cycles": names})
+    moves = _NuMoves(shared, frame, w)
+    seed = _seed_cycle(moves, w) if k <= 2 else None
+    if seed is not None:
+        shared.axiom(_CLOSING_AXIOM[k], {"cycle": seed, "s": "h"})
+    else:
+        b0 = frame.base + 3 * c
+        names = _nonalt_walk(moves, b0)
+        shared.axiom("alt_basis", {"step": "h", "base": b0, "c": k, "cycles": names})
     out = []
     for g, power, order in zip(gs, frame.powers, frame.orders):
         b = _Builder(G(k), {"g": g, "h": h})
@@ -772,52 +834,54 @@ def _translates(nu: FinPerm, w: FinPerm) -> Callable[[int], FinPerm]:
     return lambda delta: pulled.translate(delta).conjugate(w)
 
 
-def _nonalt_walk(
-    b: _Builder, frame: _Frame, w: FinPerm, b0: int
-) -> List[str]:
-    """Derive the 3-cycles (b0+1, b0+2, b0+j) for j = 3..k+2.
+class _NuMoves:
+    """Conjugations of tracked 3-cycles by the h-translates of nu, recorded
+    in a builder.
 
-    A move conjugates a tracked 3-cycle by an h-translate of nu, which
-    must meet the cycle's support in exactly the moving point; each
-    translate permutes its two q-point blocks transitively, so a
-    breadth-first search over single-point moves can place a cycle on
-    any three well-separated points.  The adjacent pinned cycles the
-    axiom needs are then assembled by conjugation: a spread cycle
-    through one pin is conjugated by spread cycles that drag the loose
-    points onto the other pin and the sweep positions.
+    A move (delta, e) conjugates a cycle by the e-th power of the
+    translate of nu by delta, which must meet the cycle's support in
+    exactly the moving point; each translate permutes its two q-point
+    blocks transitively.  Every translate is named once, on first use.
     """
-    k, q, c, base = frame.k, frame.q, frame.c, frame.base
-    translate = _translates(b.env["nu"].fin, w)
-    # per delta: the h-translate of nu, its support and its inverse
-    vcache: Dict[int, Tuple[FinPerm, frozenset, FinPerm]] = {}
-    # per point: every move (support, delta, image, preimage) in search order
-    moves_at: Dict[int, List[Tuple[frozenset, int, int, int]]] = {}
-    names_by_delta = {0: "nu"}
-    named = [0]  # the deltas in names_by_delta, sorted
 
-    def translate_of_nu(delta: int) -> Tuple[FinPerm, frozenset, FinPerm]:
-        if delta not in vcache:
-            val = translate(delta)
-            vcache[delta] = (val, val.support, val.inverse())
-        return vcache[delta]
+    def __init__(self, b: _Builder, frame: _Frame, w: FinPerm):
+        self.b = b
+        self.frame = frame
+        self.translate = _translates(b.env["nu"].fin, w)
+        # per delta: the h-translate of nu, its support and its inverse
+        self.vcache: Dict[int, Tuple[FinPerm, frozenset, FinPerm]] = {}
+        # per point: every move (support, delta, image, preimage) in search order
+        self.moves_at: Dict[int, List[Tuple[frozenset, int, int, int]]] = {}
+        self.names_by_delta = {0: "nu"}
+        self.named = [0]  # the deltas in names_by_delta, sorted
+        self.cycles = 0  # the 3-cycles T1, T2, ... derived so far
 
-    def conjugator_name(delta: int) -> str:
+    def translate_of_nu(self, delta: int) -> Tuple[FinPerm, frozenset, FinPerm]:
+        if delta not in self.vcache:
+            val = self.translate(delta)
+            self.vcache[delta] = (val, val.support, val.inverse())
+        return self.vcache[delta]
+
+    def conjugator_name(self, delta: int) -> str:
         # the conjugate by h^n of the nearest named translate (ties to the
         # smaller delta), so that the kernel raises h only to small powers
-        if delta not in names_by_delta:
+        named = self.named
+        if delta not in self.names_by_delta:
             i = bisect_left(named, delta)
             near = min(named[max(i - 1, 0):i + 1], key=lambda d: (abs(delta - d), d))
-            n = (delta - near) // k
+            n = (delta - near) // self.frame.k
             name = "f%d" % (len(named) - 1)
-            word = (("h", -n), (names_by_delta[near], 1), ("h", n))
-            b.record(name, word, finitary(translate_of_nu(delta)[0]))
-            names_by_delta[delta] = name
+            word = (("h", -n), (self.names_by_delta[near], 1), ("h", n))
+            self.b.record(name, word, finitary(self.translate_of_nu(delta)[0]))
+            self.names_by_delta[delta] = name
             named.insert(i, delta)
-        return names_by_delta[delta]
+        return self.names_by_delta[delta]
 
-    def neighbours(p: int, others: frozenset):
-        if p not in moves_at:
-            moves = moves_at[p] = []
+    def neighbours(self, p: int, others: frozenset) -> Iterator[Tuple[int, int, int]]:
+        """The moves (delta, e, next point) of p that miss the others."""
+        if p not in self.moves_at:
+            k, q, c, base = self.frame.k, self.frame.q, self.frame.c, self.frame.base
+            moves = self.moves_at[p] = []
             for blockstart in (base + 1, base + c + 1):
                 # only deltas that are multiples of k, in ascending u
                 for u in range((p - blockstart) % k, q, k):
@@ -825,19 +889,62 @@ def _nonalt_walk(
                     # h relabels t^k by frame.sigma (times a permutation far
                     # below it in a mixed pair) and p lies above both, so
                     # h^(delta/k) carries the block onto a set that holds p
-                    val, supp, inv = translate_of_nu(delta)
+                    val, supp, inv = self.translate_of_nu(delta)
                     moves.append((supp, delta, val.apply(p), inv.apply(p)))
-        for supp, delta, image, preimage in moves_at[p]:
+        for supp, delta, image, preimage in self.moves_at[p]:
             if supp.isdisjoint(others):
                 yield delta, 1, image
                 yield delta, -1, preimage
 
+    def conjugate(self, src: str, carrier: str, e: int) -> str:
+        """Derive the next T<n> as src conjugated by carrier^e."""
+        self.cycles += 1
+        name = "T%d" % self.cycles
+        self.b.derive(name, [(carrier, -e), (src, 1), (carrier, e)])
+        return name
+
+    def follow(self, src: str, moves: Sequence[Tuple[int, int]]) -> str:
+        """Derive src conjugated by each move in turn; the last name."""
+        for delta, e in moves:
+            src = self.conjugate(src, self.conjugator_name(delta), e)
+        return src
+
+
+def _seed_cycle(moves: _NuMoves, w: FinPerm) -> Optional[str]:
+    """A 3-cycle, conjugate to T0, on which h = make_s(w, k) closes G_k by
+    its axiom, k = 1 or 2, or None if none lies within four moves.
+
+    A breadth-first search over the sorted point triples moves one point
+    of the tracked cycle at a time, as the walk does.
+    """
+    k = moves.frame.k
+
+    def step(pts: Tuple[int, int, int]):
+        for i, p in enumerate(pts):
+            others = frozenset(pts[:i] + pts[i + 1:])
+            for delta, e, p2 in moves.neighbours(p, others):
+                yield (delta, e), tuple(sorted(others | {p2}))
+
+    start = tuple(sorted(moves.b.env["T0"].fin.support))
+    path = _bfs_walk(start, _closing(k, w), step, 4)
+    return None if path is None else moves.follow("T0", path)
+
+
+def _nonalt_walk(moves: _NuMoves, b0: int) -> List[str]:
+    """Derive the 3-cycles (b0+1, b0+2, b0+j) for j = 3..k+2.
+
+    A breadth-first search over single-point moves can place a cycle on
+    any three well-separated points.  The adjacent pinned cycles the
+    axiom needs are then assembled by conjugation: a spread cycle
+    through one pin is conjugated by spread cycles that drag the loose
+    points onto the other pin and the sweep positions.
+    """
+    b, frame = moves.b, moves.frame
+    k, q, c, base = frame.k, frame.q, frame.c, frame.base
     spread = c + q + 5
     far = [b0 + (i + 2) * spread for i in range(3)]
     lo = base + q + 1
     hi = far[-1] + c + q + 5
-
-    tname = [0]
 
     def build_cycle(targets: Sequence[int]) -> str:
         """Walk a fresh copy of T0 onto the three target points."""
@@ -846,13 +953,8 @@ def _nonalt_walk(
         goals = sorted(targets)
         for idx in (2, 1, 0):
             others = frozenset(v for i, v in enumerate(tracked) if i != idx)
-            moves = _bfs_walk(tracked[idx], goals[idx], others, neighbours, lo, hi)
-            for delta, e in moves:
-                fname = conjugator_name(delta)
-                tname[0] += 1
-                nm = "T%d" % tname[0]
-                b.derive(nm, [(fname, -e), (cur_name, 1), (fname, e)])
-                cur_name = nm
+            walk = _point_walk(tracked[idx], goals[idx], others, moves.neighbours, lo, hi)
+            cur_name = moves.follow(cur_name, walk)
             tracked[idx] = goals[idx]
         val = b.env[cur_name]
         if val.shift != 0 or val.fin.support != frozenset(targets):
@@ -862,10 +964,7 @@ def _nonalt_walk(
     def drag(src_name: str, mover: int, carrier_name: str, dest: int) -> str:
         """Conjugate so the mover point of src lands on dest."""
         e = 1 if b.env[carrier_name].apply(mover) == dest else -1
-        tname[0] += 1
-        nm = "T%d" % tname[0]
-        b.derive(nm, [(carrier_name, -e), (src_name, 1), (carrier_name, e)])
-        return nm
+        return moves.conjugate(src_name, carrier_name, e)
 
     a_name = build_cycle([b0 + 1, far[0], far[1]])
     y_name = build_cycle([b0 + 2, far[0], far[2]])

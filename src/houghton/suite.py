@@ -8,6 +8,7 @@ quick smoke run from the command line.
 import math
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from typing import Callable, List, Tuple
 
@@ -147,6 +148,7 @@ def criterion_6(scale: float = 1.0) -> Tuple[bool, str]:
     """Shared partners for random non-finitary tuples."""
     rng = random.Random(2026)
     trials = max(1, int(100 * scale))
+    closings: Counter = Counter()
     for i in range(trials):
         k = rng.choice([1, 2, 3])
         gs = [_rand_nonfin(rng, k) for _ in range(rng.randint(1, 4))]
@@ -156,7 +158,17 @@ def criterion_6(scale: float = 1.0) -> Tuple[bool, str]:
         for cert in res.certificates:
             if not verify_positive(cert).ok:
                 return False, "trial %d: certificate rejected" % i
-    return True, "%d random tuples certified" % trials
+        closings.update(_closed_on(cert) for cert in res.certificates)
+    return True, "%d random tuples certified; %s" % (trials, _closed_by(closings))
+
+
+def _closed_on(cert: PositiveCertificate) -> str:
+    """G_k and the axiom a certificate closes on, e.g. 'G_2 g2_seed'."""
+    return "G_%d %s" % (cert.target.k, cert.steps[-1].variant)
+
+
+def _closed_by(closings: Counter) -> str:
+    return "closed by " + ", ".join("%s %d" % kv for kv in sorted(closings.items()))
 
 
 def _rand_pair(rng, k):
@@ -176,6 +188,7 @@ def _rand_pair(rng, k):
 def criterion_7(scale: float = 1.0) -> Tuple[bool, str]:
     """Pair partners in G_1 and G_2 with verified conjugators."""
     trials = max(1, int(500 * scale))
+    closings: Counter = Counter()
     for k, fn in ((1, pair_partner_g1), (2, pair_partner_g2)):
         rng = random.Random(4000 + k)
         for i in range(trials):
@@ -188,7 +201,8 @@ def criterion_7(scale: float = 1.0) -> Tuple[bool, str]:
             for cert in res.certificates:
                 if not verify_positive(cert).ok:
                     return False, "G_%d trial %d: certificate rejected" % (k, i)
-    return True, "%d pairs per group certified" % trials
+            closings.update(_closed_on(cert) for cert in res.certificates)
+    return True, "%d pairs per group certified; %s" % (trials, _closed_by(closings))
 
 
 def criterion_8(scale: float = 1.0) -> Tuple[bool, str]:
@@ -310,6 +324,7 @@ def criterion_11() -> Tuple[bool, str]:
         accepted.append(partner_alt_g1(s).transcript.certificate)
         accepted.append(partner_alt_g2(s).transcript.certificate)
     accepted.extend(partner_nonalt(2, [t(2)]).certificates)
+    accepted.extend(partner_nonalt(3, [t(3)]).certificates)
     accepted.append(defeat_ten(t(1), G(1))[1])
     accepted.append(defeat_ten(t(2), G(2))[1])
     accepted.append(spread_zero_witness(3, t(3))[1])

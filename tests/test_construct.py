@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -15,7 +16,16 @@ from houghton.elem import (
     parse_element,
     t,
 )
-from houghton.certs import Derive, cert_from_json, cert_to_json, eval_word, verify, verify_positive
+from houghton.certs import (
+    Axiom,
+    Derive,
+    PositiveCertificate,
+    cert_from_json,
+    cert_to_json,
+    eval_word,
+    verify,
+    verify_positive,
+)
 from houghton.construct import (
     ConstructError,
     alt_basis_words,
@@ -256,10 +266,9 @@ def test_partner_nonalt_random(seed):
 
 
 def test_partner_nonalt_large_shift():
-    # the walk's translates of nu reach delta 35,057, but each conjugator
-    # word raises h only by the distance to its nearest named translate
-    # (5,009 at most); partner_nonalt verifies its certificate before
-    # returning it
+    # k = 1 does not walk: its certificate closes on a 3-cycle near T0
+    # through gcd_criterion, so its length does not grow with the shift;
+    # partner_nonalt verifies its certificate before returning it
     res = partner_nonalt(1, [t(5003)])
     assert in_class_tk(res.h, 1) is not None
 
@@ -285,14 +294,61 @@ def test_translates_relabel_nu(k, q, c, n, rng):
 
 def test_partner_nonalt_short_conjugator_words():
     # each f-step conjugates the nearest named translate by h^n, so the
-    # exponents stay small however far the walk reaches
-    res = partner_nonalt(1, [t(503)])
+    # exponents stay small however far the walk reaches (k = 3 walks)
+    res = partner_nonalt(3, [t(501)])
     (cert,) = res.certificates
     fsteps = [s for s in cert.steps if isinstance(s, Derive) and s.name.startswith("f")]
     assert fsteps
     assert sum(abs(s.word[-1][1]) for s in fsteps) <= 10_000
     for c in res.certificates:
         assert verify(cert_from_json(cert_to_json(c))).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(min_value=1, max_value=30),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+def test_closing_matches_the_kernel(k, q, c, rng, data):
+    # construct reads the closing axiom on y(x) = (x)w^-1, with no kernel
+    # call; the kernel reads it on its own orbit coordinates.  w is a frame
+    # q-cycle times a scrambled part below it, as in common_partner, and
+    # the points lie on the frame block and above it
+    base = 2 * c + 20
+    sigma = FinPerm.cycle(*range(base + 1, base + q + 1))
+    w = sigma * rand_even(rng)
+    pts = data.draw(
+        st.lists(st.integers(base + 1, base + q + 8), min_size=3, max_size=3, unique=True)
+    )
+    cert = PositiveCertificate(
+        G(k),
+        {"h": make_s(w, k), "c": finitary(FinPerm.cycle(*pts))},
+        (Axiom("gcd_criterion" if k == 1 else "g2_seed", {"cycle": "c", "s": "h"}),),
+    )
+    assert construct._closing(k, w)(pts) == verify_positive(cert).ok
+
+
+def test_partner_nonalt_closes_on_one_cycle():
+    # for k = 1 and 2 the length of a certificate does not grow with the shift
+    start = time.perf_counter()
+    for k, c, variant in ((1, 5003, "gcd_criterion"), (2, 5006, "g2_seed")):
+        (cert,) = partner_nonalt(k, [t(c)]).certificates
+        assert len(cert.steps) <= 20
+        assert cert.steps[-1].variant == variant
+        assert verify(cert_from_json(cert_to_json(cert))).ok
+    assert time.perf_counter() - start < 1.0
+
+
+def test_partner_nonalt_falls_back_to_the_walk(monkeypatch):
+    # a seed search that finds nothing leaves k = 1 and 2 to the walk
+    monkeypatch.setattr(construct, "_seed_cycle", lambda moves, w: None)
+    for k, gs in ((1, [t(1), t(-2)]), (2, [t(2), finitary(FinPerm.cycle(0, 1, 2)) * t(-4)])):
+        for cert in partner_nonalt(k, gs).certificates:
+            assert cert.steps[-1].variant == "alt_basis"
+            assert verify(cert_from_json(cert_to_json(cert))).ok
 
 
 def test_partner_nonalt_walks_once_per_frame(monkeypatch):
