@@ -26,9 +26,7 @@ from .elem import (
     ElemError,
     Group,
     GroupElement,
-    class_tk_relabel,
     identity,
-    in_class_tk,
     member,
     parse_element,
     parse_group,
@@ -47,8 +45,8 @@ MAX_SHIFT = 10 ** 4
 
 # The largest |x| of a point moved by an element whose orbits the kernel
 # walks: orbits.decompose covers [-m, m] for the largest such |x| = m, and
-# the window of the negative variants is m + 4 |shift| + 8, however few
-# points the element moves.
+# the negative variants check each generator on [-(m + |shift|), m + |shift|],
+# however few points the element moves.
 MAX_POINT = 10 ** 5
 
 # The largest support of a power or product the kernel keeps: eval_word
@@ -183,68 +181,64 @@ def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
 ALT_Z = ("alt_z",)
 
 
+def _cycle_coords(variant: str, env, params) -> Union[str, List[Tuple[str, int]]]:
+    """The sorted (orbit id, position) pairs of the points of the 3-cycle
+    params["cycle"] on the orbits of params["s"], or the reason the axiom
+    refuses: an unknown name, a cycle that is not a finitary 3-cycle, or an
+    s that is finitary, passes the walk limits or has finite orbits."""
+    cyc = _named(env, params.get("cycle"))
+    s = _named(env, params.get("s"))
+    if cyc is None or s is None:
+        return "%s: unknown element name" % variant
+    if cyc.shift != 0 or not cyc.fin.is_three_cycle():
+        return "%s: %s is not a finitary 3-cycle" % (variant, params.get("cycle"))
+    if s.shift == 0:
+        return "%s: s is finitary" % variant
+    err = walk_error([s])
+    if err:
+        return "%s: %s" % (variant, err)
+    dec = decompose(s)
+    if dec.finite:
+        return "%s: s has finite orbits" % variant
+    return sorted(dec.coord(p) for p in cyc.fin.support)
+
+
 def _axiom_gcd_criterion(env, facts, params) -> Optional[str]:
     """A 3-cycle on one infinite orbit of s, with coprime gaps between the
     consecutive orbit positions of its support, gives Alt of that orbit;
     when s has a single orbit that is Alt(Z)."""
-    cyc = _named(env, params.get("cycle"))
-    s = _named(env, params.get("s"))
-    if cyc is None or s is None:
-        return "gcd_criterion: unknown element name"
-    if cyc.shift != 0 or not cyc.fin.is_three_cycle():
-        return "gcd_criterion: %s is not a finitary 3-cycle" % params.get("cycle")
-    d = abs(s.shift)
-    if d < 1:
-        return "gcd_criterion: s is finitary"
-    err = walk_error([s])
-    if err:
-        return "gcd_criterion: %s" % err
-    dec = decompose(s)
-    if dec.finite:
-        return "gcd_criterion: s has finite orbits"
-    coords = [dec.coord(p) for p in cyc.fin.support]
-    ids = {oid for oid, _ in coords}
-    if len(ids) != 1:
+    coords = _cycle_coords("gcd_criterion", env, params)
+    if isinstance(coords, str):
+        return coords
+    (oid, n0), (o1, n1), (o2, n2) = coords
+    if not oid == o1 == o2:
         return "gcd_criterion: support spans several orbits of s"
-    oid = ids.pop()
-    idx = sorted(n for _, n in coords)
-    g1, g2 = idx[1] - idx[0], idx[2] - idx[1]
-    if gcd(g1, g2) != 1:
-        return "gcd_criterion: orbit gaps %d, %d are not coprime" % (g1, g2)
+    if gcd(n1 - n0, n2 - n1) != 1:
+        return "gcd_criterion: orbit gaps %d, %d are not coprime" % (n1 - n0, n2 - n1)
     facts.add(("alt_on_orbit", params["s"], oid))
-    if d == 1:
+    if abs(env[params["s"]].shift) == 1:
         facts.add(ALT_Z)
     return None
 
 
 def _axiom_g2_seed(env, facts, params) -> Optional[str]:
-    """A 3-cycle whose support, read in coordinates where s becomes t^2,
-    contains two points of one parity two apart plus a point of the other
-    parity, generates Alt(Z) together with s."""
-    cyc = _named(env, params.get("cycle"))
-    s = _named(env, params.get("s"))
-    if cyc is None or s is None:
-        return "g2_seed: unknown element name"
-    if cyc.shift != 0 or not cyc.fin.is_three_cycle():
-        return "g2_seed: %s is not a finitary 3-cycle" % params.get("cycle")
-    err = walk_error([s])
-    if err:
-        return "g2_seed: %s" % err
-    w = in_class_tk(s, 2)
-    if w is None:
+    """A 3-cycle with two points adjacent on one orbit of s and the third
+    on the other, where s has shift +-2 and no finite orbits, generates
+    Alt(Z) together with s.  Where s becomes t^2 the orbits are the two
+    parities, so this is two points of one parity two apart plus one of
+    the other parity."""
+    coords = _cycle_coords("g2_seed", env, params)
+    if isinstance(coords, str):
+        return coords
+    if abs(env[params["s"]].shift) != 2:
         return "g2_seed: s is not conjugate to a translation by 2"
-    try:
-        rel = class_tk_relabel(s, w, tuple(cyc.fin.support))
-    except ElemError as exc:
-        return "g2_seed: %s" % exc
-    vals = sorted(rel.values())
-    evens = [v for v in vals if v % 2 == 0]
-    odds = [v for v in vals if v % 2 != 0]
-    pair, lone = (evens, odds) if len(evens) == 2 else (odds, evens)
-    if len(pair) != 2 or len(lone) != 1:
-        return "g2_seed: relabelled support %r has no 2+1 parity split" % vals
-    if abs(pair[1] - pair[0]) != 2:
-        return "g2_seed: same-parity points %r are not two apart" % pair
+    # sorted, the two points on one orbit come first or last
+    (o0, n0), (o1, n1), (o2, n2) = coords
+    if o0 == o1 == o2:
+        return "g2_seed: support has no 2+1 parity split: it lies on one orbit of s"
+    gap = n1 - n0 if o0 == o1 else n2 - n1
+    if gap != 1:
+        return "g2_seed: same-parity points are %d steps apart on their orbit, not 1" % gap
     facts.add(ALT_Z)
     return None
 
@@ -377,10 +371,23 @@ def verify_positive(cert: PositiveCertificate) -> VerifyResult:
 # -- negative certificates ---------------------------------------------------
 
 
-def _window(gens: Sequence[GroupElement]) -> int:
-    m = max((g.eventual_bound() for g in gens), default=0)
-    s = max((abs(g.shift) for g in gens), default=0)
-    return m + 4 * s + 8
+# A generator g = sigma t^c moves each x outside supp sigma to x + c.  When
+# also |x| > m + |c|, for the bound m of the element whose orbits define
+# the set or the classes, x and x + c lie on one tail beyond m, where that
+# element's orbits are periodic: on such a tail the set is a union of
+# residues mod d = |shift|, and the class of x moves by c / shift.  So
+# invariant_set and block_system check g only at supp sigma and at
+# [-(m + |c|), m + |c|]; every other x is covered by the tail residues
+# (r -> r + c is a bijection mod d, so a residue set closed under it is
+# mapped onto itself, and x is in the set exactly when x + c is) or, for
+# block_system, by one tail point on each side beyond supp sigma.
+
+
+def _scan(g: GroupElement, m: int) -> List[int]:
+    """The points at which g = sigma t^c is checked against the orbits of
+    an element of bound m: [-(m + |c|), m + |c|], then supp sigma beyond it."""
+    r = m + abs(g.shift)
+    return list(range(-r, r + 1)) + sorted(p for p in g.fin.support if abs(p) > r)
 
 
 def _neg_finitary(cert) -> VerifyResult:
@@ -446,15 +453,12 @@ def _neg_invariant_set(cert) -> VerifyResult:
             return bool(chosen_inf) and x % d in neg_res
         return x in inner
 
-    W = _window(list(cert.generators.values()) + [base])
-    if not any(in_U(x) for x in range(-W, W + 1)):
-        return _fail("invariant_set: the set is empty")
-    if all(in_U(x) for x in range(-W, W + 1)) and (not chosen_inf or (
-        len(pos_res) == d and len(neg_res) == d
-    )):
+    # every listed orbit is nonempty, so the set is; it is everything when
+    # the orbits of base cover Z (base has a shift) and all are listed
+    if base.shift and set(wanted) == known:
         return _fail("invariant_set: the set is everything")
     for gname, g in cert.generators.items():
-        for x in range(-W, W + 1):
+        for x in _scan(g, m):
             if in_U(x) != in_U(g.apply(x)):
                 return _fail(
                     "invariant_set: generator %r moves %d across the boundary"
@@ -494,12 +498,12 @@ def _neg_block_system(cert) -> VerifyResult:
     dec = decompose(s) if abs(s.shift) == 1 else None
     if dec is None or dec.finite:
         return _fail("block_system: relabel element is not conjugate to t or t^-1")
-    W = _window(list(cert.generators.values()) + [s])
-    far = W + 1 + s.eventual_bound()
+    m = dec.bound
     for gname, g in cert.generators.items():
+        far = max(m + abs(g.shift), g.eventual_bound()) + 1
         incs = {
             (dec.coord(g.apply(x))[1] - dec.coord(x)[1]) % mod
-            for x in list(range(-W, W + 1)) + [far, -far]
+            for x in _scan(g, m) + [far, -far]
         }
         if len(incs) != 1:
             return _fail(

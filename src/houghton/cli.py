@@ -9,6 +9,7 @@ criterion applies.
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -184,7 +185,8 @@ def _cmd_certify(args) -> int:
         print(cert_to_json(res.certificate))
     else:
         if grp.k == 1:
-            why = "gcd(%d, %d) = %d" % (res.d1, res.d2, res.gcd)
+            q0, q1, q2 = res.positions
+            why = "gcd(%d, %d) = %d" % (q1 - q0, q2 - q1, math.gcd(q1 - q0, q2 - q1))
         else:
             why = "orbit positions %s under s" % (res.positions,)
         verdict = "accept" if res.verdict == "positive" else "reject"

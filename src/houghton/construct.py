@@ -16,7 +16,6 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence,
 
 from .perm import FinPerm
 from .elem import (
-    ElemError,
     G,
     Group,
     GroupElement,
@@ -219,68 +218,35 @@ def _point_walk(
     return moves
 
 
-def _reduction_moves(
-    orient: Tuple[int, int, int],
-    tracked: Dict[str, int],
-    plans: Sequence[Tuple[str, int]],
-    margin: int,
-) -> List[Tuple[int, int]]:
-    """Moves walking each planned point to its target in turn.
-
-    A move (m, e) conjugates the tracked cycle by the e-th power of the
-    oriented 3-cycle ``orient`` translated by m; the other tracked points
-    must stay outside the translated support.
-    """
-    u = orient
-
-    def neighbours(p: int, others: frozenset):
-        for i in range(3):
-            m = p - u[i]
-            if any(a + m in others for a in u):
-                continue
-            for e in (1, -1):
-                yield m, e, u[(i + e) % 3] + m
-
-    pts = list(tracked.values()) + [tgt for _, tgt in plans]
-    lo = min(pts) - margin
-    hi = max(pts) + margin
-    moves: List[Tuple[int, int]] = []
-    for pid, tgt in plans:
-        others = frozenset(v for k, v in tracked.items() if k != pid)
-        moves.extend(_point_walk(tracked[pid], tgt, others, neighbours, lo, hi))
-        tracked[pid] = tgt
-    return moves
-
-
-def _conjugation_word(
-    seed: Sequence[Tuple[str, int]],
-    moves: Sequence[Tuple[int, int]],
-    cyc_name: str,
-    trans_name: str,
-) -> Word:
-    """seed conjugated by the product of translated cycle powers."""
-    w: List[Tuple[str, int]] = []
-    for m, e in moves:
-        w.extend([(trans_name, -m), (cyc_name, e), (trans_name, m)])
-    return _merge_word(_inv_word(w) + tuple(seed) + tuple(w))
-
-
-# -- gcd criterion ------------------------------------------------------------
+# -- the 3-cycle criterion tests for G_1 and G_2 -----------------------------
 
 
 def euclid_word(d1: int, d2: int) -> Word:
     """A word in c = (-d1 0 d2) and s = t evaluating to exactly (-1 0 1).
 
-    Requires d1, d2 >= 1 and gcd(d1, d2) = 1.
+    Requires d1, d2 >= 1 and gcd(d1, d2) = 1.  The word conjugates c by
+    translates s^-m c^e s^m, each of which meets the tracked cycle in one
+    point alone and so renames that point: -d1 walks to -1, then d2 to 1.
     """
     if d1 < 1 or d2 < 1:
         raise ConstructError("gaps must be positive")
     if math.gcd(d1, d2) != 1:
         raise ConstructError("gaps %d, %d are not coprime" % (d1, d2))
-    orient = (-d1, 0, d2)
-    tracked = {"A": -d1, "B": 0, "C": d2}
-    moves = _reduction_moves(orient, tracked, [("A", -1), ("C", 1)], 3 * (d1 + d2) + 5)
-    word = _conjugation_word((("c", 1),), moves, "c", "s")
+    u = (-d1, 0, d2)
+
+    def neighbours(p: int, others: frozenset):
+        for i in range(3):
+            m = p - u[i]
+            if not any(a + m in others for a in u):
+                for e in (1, -1):
+                    yield m, e, u[(i + e) % 3] + m
+
+    margin = 3 * (d1 + d2) + 5
+    lo, hi = -d1 - margin, d2 + margin
+    moves = _point_walk(-d1, -1, frozenset({0, d2}), neighbours, lo, hi)
+    moves += _point_walk(d2, 1, frozenset({-1, 0}), neighbours, lo, hi)
+    w = [letter for m, e in moves for letter in (("s", -m), ("c", e), ("s", m))]
+    word = _merge_word(_inv_word(w) + (("c", 1),) + tuple(w))
     env = {"c": finitary(FinPerm.cycle(-d1, 0, d2)), "s": t(1)}
     if eval_word(env, word) != finitary(FinPerm.cycle(-1, 0, 1)):
         raise ConstructError("internal: reduction word does not evaluate to (-1 0 1)")
@@ -289,94 +255,70 @@ def euclid_word(d1: int, d2: int) -> Word:
     return word
 
 
-def _check_walk(cycle: FinPerm, s: GroupElement) -> None:
-    """Refuse a criterion test whose orbit walk the kernel would refuse."""
+@dataclass
+class CriterionResult:
+    positions: Tuple[int, int, int]  # the cycle's sorted positions where s reads as t^k
+    verdict: str  # "positive" or "negative"
+    certificate: object
+
+
+def _criterion_test(k: int, cycle: FinPerm, s: GroupElement) -> CriterionResult:
+    """Decide whether a 3-cycle and a relabelled t^k generate G_k, k = 1 or
+    2, where the closing axiom or an obstruction applies.
+
+    The cycle's points are read at their positions where s becomes t^k.
+    A positive closes with the axiom for G_k; for G_1 it closes on the
+    3-cycle at the middle position and its two neighbours, which the
+    Euclid reduction derives from the cycle.  A negative comes from
+    bounds.obstruction.  Where neither applies, or the kernel would refuse
+    to walk the orbits of s, ConstructError.
+    """
     if not cycle.is_three_cycle():
         raise ConstructError("criterion inapplicable: not a 3-cycle")
     err = walk_error([s, finitary(cycle)])
     if err:
         raise ConstructError("criterion inapplicable: %s" % err)
-
-
-def _negative(target: Group, cycle: FinPerm, s: GroupElement, why: str):
-    """bounds.obstruction for (cycle, s), or ConstructError(why) if none applies."""
-    try:
-        neg = obstruction(target, cycle, s, "s")
-    except BoundsError as exc:
-        raise ConstructError(str(exc)) from exc
-    if neg is None:
-        raise ConstructError(why)
-    return neg
-
-
-@dataclass
-class GcdTestResult:
-    d1: int
-    d2: int
-    gcd: int
-    verdict: str  # "positive" or "negative"
-    certificate: object
-
-
-def _oriented_triple(el: GroupElement, rel: Dict[int, int]) -> Tuple[int, int, int]:
-    """The 3-cycle el written in relabelled coordinates, as an oriented triple."""
-    pts = sorted(el.fin.support)
-    x = pts[0]
-    y = el.apply(x)
-    z = el.apply(y)
-    return (rel[x], rel[y], rel[z])
-
-
-def gcd_test(cycle: FinPerm, s: GroupElement) -> GcdTestResult:
-    """Decide whether a 3-cycle and a relabelled translation generate G_1.
-
-    The verdict depends only on the gcd of the gaps between the cycle's
-    points measured along the single orbit of s.
-    """
-    _check_walk(cycle, s)
-    w = in_class_tk(s, 1)
+    w = in_class_tk(s, k)
     if w is None:
-        raise ConstructError(
-            "criterion inapplicable: s is not conjugate to t or t^-1"
-        )
-    pts = tuple(sorted(cycle.support))
-    try:
-        rel = class_tk_relabel(s, w, pts)
-    except ElemError as exc:
-        raise ConstructError("point off the orbit of s: %s" % exc) from exc
-    q0, q1, q2 = sorted(rel[p] for p in pts)
-    d1, d2 = q1 - q0, q2 - q1
-    g = math.gcd(d1, d2)
-    if g > 1:
-        why = "internal: no obstruction for gaps %d, %d" % (d1, d2)
-        return GcdTestResult(d1, d2, g, "negative", _negative(G(1), cycle, s, why))
-    b = _Builder(G(1), {"a": finitary(cycle), "s": s})
-    # centre the middle point of the cycle at relabelled position 0
-    b.derive("c0", [("s", q1), ("a", 1), ("s", -q1)])
-    c0 = b.env["c0"]
-    rel0 = class_tk_relabel(s, w, tuple(sorted(c0.fin.support)))
-    orient = _oriented_triple(c0, rel0)
-    tracked = {pos: pos for pos in (-d1, 0, d2)}
-    moves = _reduction_moves(
-        orient, tracked, [(-d1, -1), (d2, 1)], 3 * (d1 + d2) + 5
-    )
-    b.derive("r", _conjugation_word((("c0", 1),), moves, "c0", "s"))
-    rv = b.env["r"]
-    if rv.shift != 0 or not rv.fin.is_three_cycle():
-        raise ConstructError("internal: reduced element is not a 3-cycle")
-    b.pin("r")
-    b.axiom("gcd_criterion", {"cycle": "r", "s": "s"})
-    return GcdTestResult(d1, d2, 1, "positive", b.finish())
+        raise ConstructError("criterion inapplicable: s is not conjugate to %s"
+                             % ("t or t^-1" if k == 1 else "t^2 or t^-2"))
+    rel = class_tk_relabel(s, w, tuple(cycle.support))
+    q0, q1, q2 = vals = tuple(sorted(rel.values()))
+    if not _closes(k, vals):
+        try:
+            neg = obstruction(G(k), cycle, s, "s")
+        except BoundsError as exc:
+            raise ConstructError(str(exc)) from exc
+        if neg is None:
+            raise ConstructError(
+                "criterion inapplicable: no criterion or obstruction applies at positions %r"
+                % (vals,)
+            )
+        return CriterionResult(vals, "negative", neg)
+    b = _Builder(G(k), {"a": finitary(cycle), "s": s})
+    name = "a"
+    if k == 1:
+        # s acts as t on the positions, so euclid_word with c bound to the
+        # cycle in the orientation of (q0 q1 q2) gives (q1-1 q1 q1+1) there
+        p0 = min(rel, key=rel.__getitem__)
+        e = 1 if rel[cycle.apply(p0)] == q1 else -1
+        name = "r"
+        b.derive(name, [
+            ("a", e * x) if n == "c" else (n, x) for n, x in euclid_word(q1 - q0, q2 - q1)
+        ])
+        b.pin(name)
+    b.axiom(_CLOSING_AXIOM[k], {"cycle": name, "s": "s"})
+    return CriterionResult(vals, "positive", b.finish())
 
 
-@dataclass
-class SeedTestResult:
-    positions: Tuple[int, int, int]  # the cycle's points where s reads as t^2
-    verdict: str  # "positive" or "negative"
-    certificate: object
+def gcd_test(cycle: FinPerm, s: GroupElement) -> CriterionResult:
+    """Decide whether a 3-cycle and a relabelled translation generate G_1:
+    exactly when the gaps between the cycle's positions along the single
+    orbit of s are coprime."""
+    return _criterion_test(1, cycle, s)
 
 
-def g2_seed_test(cycle: FinPerm, s: GroupElement) -> SeedTestResult:
+def g2_seed_test(cycle: FinPerm, s: GroupElement) -> CriterionResult:
     """Decide whether a 3-cycle and a relabelled t^2 generate G_2, where a
     criterion applies.
 
@@ -385,17 +327,7 @@ def g2_seed_test(cycle: FinPerm, s: GroupElement) -> SeedTestResult:
     orbit of s, so the cycle fixes the other, which both elements leave
     invariant.  Any other pattern raises ConstructError.
     """
-    _check_walk(cycle, s)
-    w = in_class_tk(s, 2)
-    if w is None:
-        raise ConstructError("criterion inapplicable: s is not conjugate to t^2 or t^-2")
-    vals = tuple(sorted(class_tk_relabel(s, w, tuple(cycle.support)).values()))
-    if not _seed_pattern_ok(vals):
-        why = "criterion inapplicable: positions %r are neither a seed nor on one orbit"
-        return SeedTestResult(vals, "negative", _negative(G(2), cycle, s, why % (vals,)))
-    b = _Builder(G(2), {"a": finitary(cycle), "s": s})
-    b.axiom("g2_seed", {"cycle": "a", "s": "s"})
-    return SeedTestResult(vals, "positive", b.finish())
+    return _criterion_test(2, cycle, s)
 
 
 # -- words over the basis 3-cycles (1 2 j) ------------------------------------
@@ -546,14 +478,6 @@ def _relabel(partial: Dict[int, int]) -> FinPerm:
     return perm.inverse()
 
 
-def _seed_pattern_ok(vals: Sequence[int]) -> bool:
-    """Two positions of one parity two apart plus one of the other parity."""
-    evens = [v for v in vals if v % 2 == 0]
-    odds = [v for v in vals if v % 2]
-    pair, lone = (evens, odds) if len(evens) == 2 else (odds, evens)
-    return len(pair) == 2 and len(lone) == 1 and abs(pair[0] - pair[1]) == 2
-
-
 # the axiom that closes a certificate for G_k, k = 1 or 2, on one 3-cycle
 _CLOSING_AXIOM = {1: "gcd_criterion", 2: "g2_seed"}
 
@@ -563,12 +487,15 @@ def _closes(k: int, vals: Sequence[int]) -> bool:
     at the orbit positions vals of the relabelled t^k, k = 1 or 2.
 
     G_1 needs coprime gaps between the sorted positions, G_2 the seed
-    pattern.
+    pattern: two positions of one parity two apart plus one of the other.
     """
     if k == 1:
         a, m, z = sorted(vals)
         return math.gcd(m - a, z - m) == 1
-    return _seed_pattern_ok(vals)
+    evens = [v for v in vals if v % 2 == 0]
+    odds = [v for v in vals if v % 2]
+    pair, lone = (evens, odds) if len(evens) == 2 else (odds, evens)
+    return len(pair) == 2 and len(lone) == 1 and abs(pair[0] - pair[1]) == 2
 
 
 def _closing(k: int, w: FinPerm) -> Callable[[Sequence[int]], bool]:
@@ -1040,6 +967,9 @@ def common_partner(k: int, gs: Sequence[GroupElement]) -> PartnerResult:
         frame = _nonalt_frame(k, [w * g * w.inverse() for g in nonfin], avoidb)
         conjugator = frame.sigma * omega
     h = make_s(conjugator, k)
+    err = walk_error([h])
+    if err:
+        raise ConstructError("the partner passes the kernel's walk limits: %s" % err)
     framed = iter(_nonalt_certificates(frame, conjugator, nonfin) if nonfin else ())
     certs = []
     for g in gs:

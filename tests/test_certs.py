@@ -3,11 +3,21 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from houghton import certs
 from houghton.perm import FinPerm
-from houghton.elem import G, H2, GroupElement, finitary, make_s, parse_element
+from houghton.elem import (
+    G,
+    H2,
+    GroupElement,
+    class_tk_relabel,
+    finitary,
+    in_class_tk,
+    make_s,
+    parse_element,
+)
+from houghton.orbits import decompose
 from houghton.certs import (
     MAX_POINT,
     MAX_SHIFT,
@@ -679,3 +689,161 @@ def test_support_limit_reads_actual_supports():
     env = {"c": c, "d": finitary(FinPerm.cycle(-1, -2))}
     with pytest.raises(CertError, match="exceeds the limit"):
         eval_word(env, (("c", 1), ("d", 1)))
+
+
+# -- the scanning negatives check each generator on its own window --------
+
+
+def _global_window_ok(cert) -> bool:
+    """invariant_set and block_system as the kernel checked them before it
+    scanned each generator on its own window: every generator at every
+    |x| <= W, W = the largest bound plus 4 |shift| + 8 over the generators
+    and the base or relabel element, plus (block_system) one far point on
+    each side, and the tail closure (invariant_set)."""
+    elems = list(cert.generators.values())
+    if cert.variant == "invariant_set":
+        base = cert.generators[cert.params["element"]]
+        wanted = cert.params["orbits"]
+        dec = decompose(base)
+        chosen_inf = [o for o in dec.infinite if "inf%d" % o.index in wanted]
+        chosen_fin = [c for i, c in enumerate(dec.finite) if "fin%d" % i in wanted]
+        d, m = abs(base.shift), dec.bound
+        pos_res = {o.pos_residue for o in chosen_inf}
+        neg_res = {o.neg_residue for o in chosen_inf}
+        inner = {p for o in chosen_inf for p in o.exceptional_points}
+        inner.update(p for c in chosen_fin for p in c)
+
+        def in_U(x):
+            if x > m:
+                return bool(chosen_inf) and x % d in pos_res
+            if x < -m:
+                return bool(chosen_inf) and x % d in neg_res
+            return x in inner
+
+        elems.append(base)
+        W = max(g.eventual_bound() for g in elems) + 4 * max(abs(g.shift) for g in elems) + 8
+        window = range(-W, W + 1)
+        if not any(map(in_U, window)):
+            return False
+        if all(map(in_U, window)) and (not chosen_inf or (len(pos_res) == d == len(neg_res))):
+            return False
+        for g in cert.generators.values():
+            if any(in_U(x) != in_U(g.apply(x)) for x in window):
+                return False
+            if chosen_inf and any((r + g.shift) % d not in pos_res for r in pos_res):
+                return False
+            if chosen_inf and any((r + g.shift) % d not in neg_res for r in neg_res):
+                return False
+        return True
+    s = parse_element(cert.params["relabel"])
+    dec = decompose(s)
+    elems.append(s)
+    W = max(g.eventual_bound() for g in elems) + 4 * max(abs(g.shift) for g in elems) + 8
+    far = W + 1 + s.eventual_bound()
+    mod = cert.params["modulus"]
+    return all(
+        len({(dec.coord(g.apply(x))[1] - dec.coord(x)[1]) % mod
+             for x in list(range(-W, W + 1)) + [far, -far]}) == 1
+        for g in cert.generators.values()
+    )
+
+
+def _small_perm(rng, span):
+    pts = rng.sample(range(-span, span + 1), rng.choice([0, 2, 2, 3, 4]))
+    return FinPerm.from_cycles([tuple(pts)]) if len(pts) >= 2 else FinPerm()
+
+
+def _generator(rng, base, span):
+    """A power of base, a power of base times a transposition of two points
+    one period apart on a tail (which may or may not keep the orbits), a
+    translation by a multiple of the shift of base (which keeps each tail's
+    residues but may carry a point from one tail to the other), or a random
+    element."""
+    kind = rng.randrange(4)
+    g = base ** rng.randint(-2, 2)
+    if kind == 1 and base.shift:
+        x = rng.choice([-1, 1]) * rng.randint(span + 1, 3 * span)
+        g = g * finitary(FinPerm.cycle(x, x + abs(base.shift) * rng.randint(1, 3)))
+    elif kind == 2:
+        g = GroupElement(FinPerm(), base.shift * rng.randint(-4, 4))
+    elif kind == 3:
+        g = finitary(_small_perm(rng, span)) * GroupElement(FinPerm(), rng.randint(-4, 4))
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["invariant_set", "block_system"]))
+def test_scanning_negatives_match_the_global_window(rng, variant):
+    span = rng.choice([3, 6])
+    if variant == "invariant_set":
+        base = finitary(_small_perm(rng, span)) * GroupElement(FinPerm(), rng.randint(-3, 3))
+        dec = decompose(base)
+        known = ["inf%d" % o.index for o in dec.infinite]
+        known += ["fin%d" % i for i in range(len(dec.finite))]
+        if not known:
+            return
+        params = {"element": "b", "orbits": rng.sample(known, rng.randint(1, len(known)))}
+    else:
+        base = make_s(_small_perm(rng, span) * FinPerm.cycle(span + 1, span + 2),
+                      rng.choice([-1, 1]))
+        params = {"relabel": str(base), "modulus": rng.randint(2, 4)}
+    generators = {"b": base}
+    for i in range(rng.randint(0, 3)):
+        generators["g%d" % i] = _generator(rng, base, span)
+    cert = NegativeCertificate(G(1), generators, variant, params)
+    assert verify_negative(cert).ok == _global_window_ok(cert)
+
+
+def test_far_generators_are_checked_on_their_own_windows():
+    # 50 generators t^2 and (2i 99900+2i) t^2: every transposition keeps the
+    # even orbit of t^2, and each generator is checked at about 5 points
+    generators = {"g0": "t^2"}
+    generators.update(("g%d" % i, "(%d %d) t^2" % (2 * i, 99900 + 2 * i)) for i in range(1, 50))
+    cert = neg(G(2), gens(**generators), "invariant_set", element="g0", orbits=["inf0"])
+    start = time.perf_counter()
+    res = verify(cert_from_json(cert_to_json(cert)))
+    assert time.perf_counter() - start < 0.1
+    assert res.ok
+    # one far transposition of an even and an odd point breaks it
+    generators["g50"] = "(4 99901) t^2"
+    cert = neg(G(2), gens(**generators), "invariant_set", element="g0", orbits=["inf0"])
+    assert not verify(cert).ok
+
+
+def test_block_system_checks_the_tail_beyond_the_support():
+    # (-1 0)(1 2)(3 4)(5 6) moves every point of the window [-1, 1] and its
+    # support by an odd step, but the tail beyond it by 0: not class-affine
+    cert = neg(G(1), gens(a="(-1 0)(1 2)(3 4)(5 6)", s="t"), "block_system",
+               relabel="t", modulus=2)
+    assert not verify(cert).ok
+
+
+# -- g2_seed reads the orbits of s --------------------------------------------
+
+
+def _g2_seed_reference(cycle: FinPerm, s: GroupElement) -> bool:
+    """The g2_seed test as the kernel made it before it read the orbits of s
+    directly: relabel where s becomes t^2, then two points of one parity two
+    apart plus one point of the other parity."""
+    w = in_class_tk(s, 2)
+    if w is None:
+        return False
+    vals = sorted(class_tk_relabel(s, w, tuple(cycle.support)).values())
+    evens = [v for v in vals if v % 2 == 0]
+    odds = [v for v in vals if v % 2]
+    pair, lone = (evens, odds) if len(evens) == 2 else (odds, evens)
+    return len(pair) == 2 and len(lone) == 1 and pair[1] - pair[0] == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_g2_seed_matches_the_relabelled_parity_pattern(rng):
+    span = rng.choice([3, 6, 10])
+    if rng.random() < 0.8:
+        s = make_s(_small_perm(rng, span), rng.choice([-2, 2]))
+    else:  # may have finite orbits
+        s = finitary(_small_perm(rng, span)) * GroupElement(FinPerm(), rng.choice([-2, 2]))
+    cycle = FinPerm.cycle(*rng.sample(range(-span - 3, span + 4), 3))
+    env = {"a": finitary(cycle), "s": s}
+    err = certs._axiom_g2_seed(env, set(), {"cycle": "a", "s": "s"})
+    assert (err is None) == _g2_seed_reference(cycle, s)

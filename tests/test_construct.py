@@ -10,6 +10,7 @@ from houghton import construct
 from houghton.perm import FinPerm
 from houghton.elem import (
     G,
+    class_tk_relabel,
     finitary,
     in_class_tk,
     make_s,
@@ -100,14 +101,16 @@ def test_gcd_test_grid():
     for a in range(-6, 0):
         for b in range(1, 7):
             res = gcd_test(FinPerm.cycle(a, 0, b), t(1))
-            assert res.gcd == math.gcd(-a, b)
-            if res.gcd == 1:
+            q0, q1, q2 = res.positions
+            g = math.gcd(q1 - q0, q2 - q1)
+            assert g == math.gcd(-a, b)
+            if g == 1:
                 assert res.verdict == "positive"
                 assert verify(res.certificate).ok
             else:
                 assert res.verdict == "negative"
                 assert verify(res.certificate).ok
-                assert res.certificate.params["modulus"] == res.gcd
+                assert res.certificate.params["modulus"] == g
 
 
 def test_gcd_test_relabelled_translation():
@@ -561,3 +564,53 @@ def test_evens_odds_reduce_preconditions():
         evens_odds_reduce(finitary(FinPerm.cycle(0, 4, 2)), FinPerm.cycle(1, 2, 4))
     with pytest.raises(ConstructError):
         evens_odds_reduce(finitary(FinPerm.cycle(0, 3)), FinPerm.cycle(1, 3, 5))
+
+
+# -- one criterion path -------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+def test_criterion_tests_agree_with_the_one_step_certificate(k, rng):
+    # a positive exactly when the closing axiom accepts the cycle itself;
+    # otherwise a negative that verifies, or ConstructError
+    span = rng.choice([4, 6, 10])
+    s = make_s(rand_even(rng, span), rng.choice([-k, k]))
+    cycle = FinPerm.cycle(*rng.sample(range(-span, span + 1), 3))
+    one_step = PositiveCertificate(
+        G(k),
+        {"a": finitary(cycle), "s": s},
+        (Axiom("gcd_criterion" if k == 1 else "g2_seed", {"cycle": "a", "s": "s"}),),
+    )
+    try:
+        res = (gcd_test if k == 1 else g2_seed_test)(cycle, s)
+    except ConstructError:
+        verdict = None
+    else:
+        verdict = res.verdict
+        assert verify(cert_from_json(cert_to_json(res.certificate))).ok
+    assert (verdict == "positive") == verify_positive(one_step).ok
+
+
+@pytest.mark.parametrize("s", [t(1), t(-1), make_s(FinPerm.cycle(0, 5, 3), 1),
+                               make_s(FinPerm.cycle(0, 5, 3), -1)], ids=str)
+@pytest.mark.parametrize("pts", [(1, 4, 9), (1, 9, 4)])
+def test_gcd_test_positive_for_either_sign_and_orientation(s, pts):
+    res = gcd_test(FinPerm.cycle(*pts), s)
+    assert res.verdict == "positive"
+    assert verify(cert_from_json(cert_to_json(res.certificate))).ok
+    # the axiom closes on the derived cycle at the middle position and its
+    # two neighbours
+    assert res.certificate.steps[-1].params["cycle"] == "r"
+    r = res.certificate.steps[-2].expected
+    q1 = res.positions[1]
+    rel = class_tk_relabel(s, in_class_tk(s, 1), tuple(r.fin.support))
+    assert sorted(rel.values()) == [q1 - 1, q1, q1 + 1]
+
+
+@pytest.mark.parametrize("k,shifts", [(3, (21, 33, 39, 51)), (2, (14, 22, 26, 60))])
+def test_common_partner_refuses_a_partner_past_the_walk_limits(k, shifts):
+    start = time.perf_counter()
+    with pytest.raises(ConstructError, match="exceeds the limit"):
+        common_partner(k, [t(c) for c in shifts])
+    assert time.perf_counter() - start < 1.0
