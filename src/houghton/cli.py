@@ -17,12 +17,14 @@ from .perm import PermError
 from .elem import ElemError, Group, GroupElement, parse_element, parse_group
 from .orbits import decompose
 from .certs import (
+    MAX_SUPPORT,
     CertError,
     PositiveCertificate,
     cert_from_json,
     cert_to_dict,
     cert_to_json,
     verify,
+    walk_error,
 )
 from .construct import ConstructError, common_partner, g2_seed_test, gcd_test
 from .bounds import BoundsError, defeat_ten, refute_dominating, spread_zero_witness
@@ -97,7 +99,12 @@ def _cmd_op(args) -> int:
     elif args.inverse:
         out = _elem(args.inverse).inverse()
     elif args.power:
-        out = _elem(args.power[0]) ** int(args.power[1])
+        g = _elem(args.power[0])
+        try:
+            n = int(args.power[1])
+        except ValueError:
+            raise UsageError("power N must be an integer, not %r" % args.power[1])
+        out = g.power(n, MAX_SUPPORT)
     else:
         raise UsageError("op needs --compose, --inverse, or --power")
     if args.json:
@@ -109,6 +116,9 @@ def _cmd_op(args) -> int:
 
 def _cmd_orbits(args) -> int:
     g = _elem(args.element)
+    err = walk_error([g])
+    if err:
+        raise UsageError(err)
     dec = decompose(g)
     if args.json:
         _emit_json(

@@ -515,15 +515,15 @@ def _layout_ok(sigma: FinPerm, pos: Dict[int, int], k: int) -> bool:
     """Whether h = make_s(omega, k), k = 1 or 2, seals sigma via _chain.
 
     pos holds the orbit position under h, omega^-1(p), of every point p of
-    supp(sigma).  For G_2 a 3-cycle is its own g2_seed and needs the seed
-    pattern itself.  Otherwise the chain derives the 3-cycle (a y m): y is
-    the top position, a that of the top point's preimage and m that of the
+    supp(sigma).  A 3-cycle closes on itself, so _closes reads its own
+    positions.  Otherwise the chain derives the 3-cycle (a y m): y is the
+    top position, a that of the top point's preimage and m that of the
     bottom point's image plus the span.  G_1 needs coprime gaps y - a and
     m - y; G_2 an even span and a seed pattern on (a, y, m).
     """
     supp = sigma.support
-    if k == 2 and len(supp) == 3:
-        return _closes(2, [pos[p] for p in supp])
+    if len(supp) == 3:
+        return _closes(k, [pos[p] for p in supp])
     top = max(supp, key=pos.__getitem__)
     bot = min(supp, key=pos.__getitem__)
     y = pos[top]
@@ -537,12 +537,12 @@ def _chain(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> str:
     """The name of a 3-cycle, derived from seed, that h seals for G_k.
 
     pos holds the orbit positions of supp(seed) under h, as in _layout_ok.
-    For G_2 a 3-cycle seed is returned as it is, pinned when derived.
-    Otherwise the seed is conjugated by its own h-translate by the span,
-    which meets the seed's support only at the top point: that point is
-    renamed, and the quotient with the seed is a 3-cycle.
+    A 3-cycle seed is returned as it is, pinned when derived.  Otherwise
+    the seed is conjugated by its own h-translate by the span, which meets
+    the seed's support only at the top point: that point is renamed, and
+    the quotient with the seed is a 3-cycle.
     """
-    if k == 2 and len(pos) == 3:
+    if len(pos) == 3:
         if seed not in b.generators:
             b.pin(seed)
         return seed
@@ -566,43 +566,6 @@ def _seal(b: _Builder, seed: str, pos: Dict[int, int], k: int) -> PositiveCertif
     return b.finish()
 
 
-def _designation(sigma: FinPerm, k: int) -> Dict[int, int]:
-    """Orbit positions for supp(sigma) that seal one even sigma for G_k.
-
-    For G_1 the top point sits on the last slot and its preimage just
-    below it, so the chain's first gap is 1.  For G_2 a 3-cycle placed on
-    {0, 1, 2} is itself a seed.  Otherwise the first edge q -> (q)sigma
-    with a top point p and its preimage off it goes on slots 0 and 2,
-    that preimage on slot 1, the other points from 3 up and p on the next
-    even slot: the chain yields (1, y, y + 2).
-    """
-    supp = sorted(sigma.support)
-    inv = sigma.inverse()
-    if k == 1:
-        top = supp[-1]
-        pred = inv.apply(top)
-        others = [p for p in supp if p not in (top, pred)]
-        partial = {p: i for i, p in enumerate(others)}
-        partial[pred] = len(supp) - 2
-        partial[top] = len(supp) - 1
-        return partial
-    if len(supp) == 3:
-        return {p: i for i, p in enumerate(supp)}
-    for q in supp:
-        qg = sigma.apply(q)
-        for p in supp:
-            pred = inv.apply(p)
-            if len({q, qg, pred, p}) < 4:
-                continue
-            others = [x for x in supp if x not in (q, qg, pred, p)]
-            partial = {q: 0, qg: 2, pred: 1}
-            partial.update((x, 3 + i) for i, x in enumerate(others))
-            slot = 3 + len(others)
-            partial[p] = slot + slot % 2
-            return partial
-    raise ConstructError("no usable designation for the seed relabelling")
-
-
 def _layouts(ss: Sequence[FinPerm]) -> Iterator[Dict[int, int]]:
     """Edge layouts of the union of the supports of ss, as maps point ->
     orbit position.
@@ -611,18 +574,25 @@ def _layouts(ss: Sequence[FinPerm]) -> Iterator[Dict[int, int]]:
     (p)g'^-1 -> p of one element g' at the top, and every other point
     between them in ascending order.  The roles (g', g) are first two
     distinct members of ss, then a member with itself, then every other
-    pair drawn from the members and their inverses.  For two members and
-    G_1 the first layout seals both: on consecutive slots the top point
-    of g' has its preimage just below it and the bottom point of g its
-    image just above it, and a chain gap of 1 makes the gcd 1.
+    pair drawn from the members and their inverses.  For one or two
+    members and G_1 the first layout seals them: on consecutive slots the
+    top point of g' has its preimage just below it and the bottom point
+    of g its image just above it, and a gap of 1 makes the gcd 1.
 
     For G_2 the later layouts vary the parities that _layout_ok reads:
     a one-slot hole may open the bottom edge, the top edge, and each
     middle point that some member's chain reads (its lowest point and
     that point's image, its highest point and that point's preimage).
+
+    A union of three points is a single 3-cycle up to inversion, with no
+    four-point edge layout: its one layout is the points in ascending
+    order on slots 0, 1, 2, which closes it on itself for G_1 and G_2.
     """
     n = len(ss)
     union = sorted(frozenset().union(*(s.support for s in ss)))
+    if len(union) == 3:
+        yield {q: i for i, q in enumerate(union)}
+        return
     gs = tuple(ss) + tuple(s.inverse() for s in ss)  # gs[(i + n) % 2n] inverts gs[i]
     plain = [(i, j) for i in range(n) for j in range(n) if i != j]
     plain += [(i, i) for i in range(n)]
@@ -926,11 +896,12 @@ def common_partner(k: int, gs: Sequence[GroupElement]) -> PartnerResult:
     """One h in the class of t^k generating G_k with each member of gs.
 
     The finitary members, taken once up to inversion, are laid out on the
-    orbit positions of h: a single one by its designation, several by the
-    first edge layout that seals them all; they need k = 1 or 2.  The
-    non-finitary members get one frame beyond that layout.  h relabels
-    t^k by the frame's cycle times the layout's relabelling.  The
-    certificates follow the order of gs, and each is verified.
+    orbit positions of h by the first of _layouts that seals them all; a
+    3-cycle closes on itself there, any other member on its chain.  They
+    need k = 1 or 2.  The non-finitary members get one frame beyond that
+    layout.  h relabels t^k by the frame's cycle times the layout's
+    relabelling.  The certificates follow the order of gs, and each is
+    verified.
     """
     if k < 1:
         raise ConstructError("need k >= 1")
@@ -949,8 +920,7 @@ def common_partner(k: int, gs: Sequence[GroupElement]) -> PartnerResult:
     if reps:
         if k > 2:
             raise ConstructError("finitary members need k = 1 or 2, not %d" % k)
-        layouts = [_designation(reps[0], k)] if len(reps) == 1 else _layouts(reps)
-        pos = next((p for p in layouts if all(_layout_ok(s, p, k) for s in reps)), None)
+        pos = next((p for p in _layouts(reps) if all(_layout_ok(s, p, k) for s in reps)), None)
         if pos is None:
             raise ConstructError("no relabelling found for the finitary members")
         omega = _relabel(pos)

@@ -11,10 +11,10 @@ lies in G_k exactly when k divides c and sigma is even.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .orbits import decompose
+from .orbits import OrbitDecomposition, decompose
 from .perm import FinPerm, PermError
 
 
@@ -227,11 +227,14 @@ class ClassTkWitness:
     residue class j in 0..k-1 such that pi(j + n*k) = (seed_j)g^n is a
     bijection of Z with pi^-1 g pi = t^k.  The sign records the shift
     orientation of g itself, which distinguishes the classes of t^k and
-    t^-k inside H_2 (where reflections are unavailable)."""
+    t^-k inside H_2 (where reflections are unavailable).  The orbit
+    decomposition of g the seeds were read from rides along, so that
+    class_tk_relabel does not walk the orbits again."""
 
     k: int
     sign: int
     seeds: Tuple[int, ...]
+    decomposition: OrbitDecomposition = field(compare=False, repr=False)
 
 
 def in_class_tk(g: GroupElement, k: int) -> Optional[ClassTkWitness]:
@@ -251,7 +254,7 @@ def in_class_tk(g: GroupElement, k: int) -> Optional[ClassTkWitness]:
         min(orb.exceptional_points + (orb.entry, orb.exit), key=lambda x: (abs(x), -x))
         for orb in dec.infinite
     )
-    return ClassTkWitness(k=k, sign=1 if g.shift > 0 else -1, seeds=seeds)
+    return ClassTkWitness(k=k, sign=1 if g.shift > 0 else -1, seeds=seeds, decomposition=dec)
 
 
 def class_tk_relabel(
@@ -259,9 +262,13 @@ def class_tk_relabel(
 ) -> Dict[int, int]:
     """Map each given point y to pi^-1(y) where pi(j + n*k) = (seed_j)g^n.
 
-    Raises ElemError for a point on none of the witnessed orbits.
+    w must be the witness in_class_tk returned for g: the positions are
+    read on its decomposition.  Raises ElemError for a witness of another
+    shift, or a point on none of the witnessed orbits.
     """
-    dec = decompose(g)
+    dec = w.decomposition
+    if dec.shift != g.shift:
+        raise ElemError("witness is for shift %d, not %d" % (dec.shift, g.shift))
     seed_at: Dict[str, Tuple[int, int]] = {}
     for j, seed in enumerate(w.seeds):
         oid, n = dec.coord(seed)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import time
@@ -18,6 +19,8 @@ from houghton.elem import (
     parse_element,
 )
 from houghton.orbits import decompose
+from houghton.bounds import defeat_ten, refute_dominating, spread_zero_witness
+from houghton.construct import common_partner, g2_seed_test, gcd_test, two_gen_alpha
 from houghton.certs import (
     MAX_POINT,
     MAX_SHIFT,
@@ -847,3 +850,97 @@ def test_g2_seed_matches_the_relabelled_parity_pattern(rng):
     env = {"a": finitary(cycle), "s": s}
     err = certs._axiom_g2_seed(env, set(), {"cycle": "a", "s": "s"})
     assert (err is None) == _g2_seed_reference(cycle, s)
+
+
+# -- structural fuzzing: any mutated certificate gets a verdict ------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_bases():
+    """JSON texts of certificates of every step kind, axiom and negative
+    variant, built by the library and by hand."""
+    el = parse_element
+    certs_ = [
+        gcd_test(FinPerm.cycle(1, 4, 9), make_s(FinPerm.cycle(0, 5, 3), 1)).certificate,
+        gcd_test(FinPerm.cycle(-2, 0, 4), el("t")).certificate,
+        g2_seed_test(FinPerm.cycle(1, 2, 3), el("t^2")).certificate,
+        *common_partner(1, [el("(1 2 3 4 5)"), el("(0 1 2) t")]).certificates,
+        *common_partner(2, [el("(1 2)(3 4)"), el("(0 1 2) t^-2")]).certificates,
+        two_gen_alpha(3).certificate,
+        defeat_ten(el("t^2"), G(2))[1],
+        spread_zero_witness(3, el("(1 2 3) t^3"))[1],
+        *refute_dominating([el(x) for x in ("t", "(0 1 2)", "(0 2 4) t^2")], G(1))[1],
+        pos(G(2), gens(a="(0 2 4)", s="t^2", m="(0 1)(2 3)"),
+            [Axiom("gcd_criterion", {"cycle": "a", "s": "s"}),
+             Axiom("odd_even_mix", {"sigma": "m", "s": "s"})]),
+        neg(G(1), gens(a="(1 2)", s="t^1"), "not_in_group", witness="a"),
+    ]
+    return tuple(cert_to_json(c) for c in certs_)
+
+
+_NEST = "__nested__"
+_FAR = ["(0 1000000000000)", "(1 2 3) t^1000000000000", "(-100001 5 100001)",
+        "(0 99999 100000) t^9999", "t^-10001"]
+
+
+def _slots(node, path=()):
+    """(path, value) of every value below node, depth first."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, val in items:
+        yield path + (key,), val
+        yield from _slots(val, path + (key,))
+
+
+def _put(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+def _mutate(data, rng) -> None:
+    """Apply one structural mutation to data in place, if the one drawn fits."""
+    slots = list(_slots(data))
+    kind = rng.choice(["drop", "dup", "swap", "int", "far", "nest"])
+    steps = data.get("steps")
+    if kind in ("drop", "dup", "swap"):
+        if isinstance(steps, list) and steps:
+            i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+            if kind == "drop":
+                del steps[i]
+            elif kind == "dup":
+                steps.insert(j, json.loads(json.dumps(steps[i])))
+            else:
+                steps[i], steps[j] = steps[j], steps[i]
+        return
+    if kind == "int":
+        paths = [p for p, v in slots if isinstance(v, int) and not isinstance(v, bool)]
+        value = rng.choice([10 ** 12, -10 ** 12, 2 ** 63, True, False])
+    elif kind == "far":
+        paths = [p for p, v in slots if isinstance(v, str) and ("(" in v or "t" in v)]
+        value = rng.choice(_FAR)
+    else:
+        paths, value = [p for p, _ in slots], _NEST
+    if paths:
+        _put(data, rng.choice(paths), value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_structurally_mutated_certificates_get_a_verdict_within_two_seconds(rng):
+    data = json.loads(rng.choice(_fuzz_bases()))
+    for _ in range(rng.randint(1, 3)):
+        _mutate(data, rng)
+    text = json.dumps(data)
+    if _NEST in text:
+        # built as text: about 900 levels would pass the encoder's own
+        # recursion limit inside the test runner
+        depth = rng.randint(850, 950)
+        text = text.replace('"%s"' % _NEST, "[" * depth + "7" + "]" * depth)
+    start = time.perf_counter()
+    try:
+        res = verify(cert_from_json(text))
+    except CertError:
+        res = None
+    assert time.perf_counter() - start < 2.0, text[:300]
+    assert res is None or isinstance(res, certs.VerifyResult)

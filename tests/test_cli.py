@@ -177,6 +177,8 @@ FAR = "1000000000000"
     ["refute-dominating", "--group", "G1", "(0 1 %s) t" % FAR],
     ["certify", "--group", "G1", "--pair", "(1 2 3)", "(0 %s) t" % FAR],
     ["certify", "--group", "G2", "--pair", "(1 2 3)", "(0 %s) t^2" % FAR],
+    ["op", "--power", "(0 5) t", "100000000"],
+    ["orbits", "(0 %s) t" % FAR],
 ])
 def test_over_limit_inputs_exit_2_within_a_second(capsys, argv):
     start = time.perf_counter()
@@ -184,6 +186,13 @@ def test_over_limit_inputs_exit_2_within_a_second(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("n", ["abc", "1.5", ""])
+def test_op_power_needs_an_integer(capsys, n):
+    code, out, err = run(capsys, "op", "--power", "t", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "integer" in err
 
 
 def test_pair_partner(capsys):

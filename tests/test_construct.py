@@ -1,7 +1,7 @@
 import math
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,6 +232,36 @@ def test_partner_alt_large_support():
     sigma = FinPerm.cycle(*range(0, 602, 2))
     for k, fn in ((1, partner_alt_g1), (2, partner_alt_g2)):
         assert in_class_tk(fn(sigma).h, k) is not None
+
+
+def _even_perms(points):
+    """Every nontrivial even permutation of points."""
+    for img in permutations(points):
+        p = FinPerm({a: b for a, b in zip(points, img) if a != b})
+        if not p.is_identity() and p.is_even():
+            yield p
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_single_member_on_six_points_gets_a_partner(k):
+    for sigma in _even_perms(range(6)):
+        (cert,) = common_partner(k, [finitary(sigma)]).certificates
+        assert verify(cert_from_json(cert_to_json(cert))).ok, sigma
+
+
+def test_g1_three_cycle_member_closes_on_itself():
+    # beside any other member a 3-cycle closes on itself by gcd_criterion;
+    # after its own inverse it is derived as gg
+    members = list(_even_perms(range(5)))
+    for a, b in product(members, repeat=2):
+        if 3 not in (len(a.support), len(b.support)):
+            continue
+        res = pair_partner_g1(finitary(a), finitary(b))
+        for g, cert in zip((a, b), res.certificates):
+            if len(g.support) == 3:
+                last = cert.steps[-1]
+                assert last.variant == "gcd_criterion", (a, b)
+                assert last.params["cycle"] in ("g", "gg"), (a, b)
 
 
 def test_partner_alt_rejects_odd():
@@ -606,6 +636,24 @@ def test_gcd_test_positive_for_either_sign_and_orientation(s, pts):
     q1 = res.positions[1]
     rel = class_tk_relabel(s, in_class_tk(s, 1), tuple(r.fin.support))
     assert sorted(rel.values()) == [q1 - 1, q1, q1 + 1]
+
+
+@pytest.mark.parametrize("k,fn,s", [(1, gcd_test, make_s(FinPerm.cycle(0, 5, 3), 1)),
+                                    (2, g2_seed_test, make_s(FinPerm.cycle(0, 5, 3), 2))])
+def test_criterion_tests_walk_the_orbits_of_s_once(monkeypatch, k, fn, s):
+    from houghton import elem
+
+    calls, real = [], elem.decompose
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(elem, "decompose", counted)
+    # s moves 5 onto the orbit positions 0, 1, 2 of the points 5, 1, 2
+    res = fn(FinPerm.cycle(5, 1, 2), s)
+    assert res.verdict == "positive"
+    assert calls == [s]
 
 
 @pytest.mark.parametrize("k,shifts", [(3, (21, 33, 39, 51)), (2, (14, 22, 26, 60))])
