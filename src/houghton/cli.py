@@ -187,10 +187,7 @@ def _cmd_certify(args) -> int:
         raise UsageError("the first element of --pair must be finitary")
     if grp.k not in (1, 2):
         raise UsageError("certify --pair supports G1 and G2 targets")
-    try:
-        res = (gcd_test if grp.k == 1 else g2_seed_test)(a.fin, s)
-    except ConstructError as exc:
-        raise UsageError(str(exc))
+    res = (gcd_test if grp.k == 1 else g2_seed_test)(a.fin, s)
     if args.json:
         print(cert_to_json(res.certificate))
     else:
@@ -206,10 +203,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_partner(args) -> int:
     grp = _need_gk(args)
-    try:
-        res = common_partner(grp.k, [_elem(x) for x in args.elements])
-    except ConstructError as exc:
-        raise UsageError(str(exc))
+    res = common_partner(grp.k, [_elem(x) for x in args.elements])
     if args.json:
         _emit_json(
             {
@@ -229,10 +223,7 @@ def _cmd_partner(args) -> int:
 def _cmd_defeat(args) -> int:
     grp = _need_group(args)
     h = _elem(args.elem)
-    try:
-        sigma, cert = defeat_ten(h, grp)
-    except BoundsError as exc:
-        raise UsageError(str(exc))
+    sigma, cert = defeat_ten(h, grp)
     if args.json:
         _emit_json({"sigma": str(sigma), "certificate": cert_to_dict(cert)})
     else:
@@ -244,10 +235,7 @@ def _cmd_defeat(args) -> int:
 def _cmd_refute(args) -> int:
     grp = _need_group(args)
     S = [_elem(x) for x in args.elements]
-    try:
-        gamma, certs = refute_dominating(S, grp)
-    except BoundsError as exc:
-        raise UsageError(str(exc))
+    gamma, certs = refute_dominating(S, grp)
     if args.json:
         _emit_json(
             {
@@ -265,10 +253,7 @@ def _cmd_refute(args) -> int:
 def _cmd_spread_zero(args) -> int:
     grp = _need_gk(args)
     h = _elem(args.elem)
-    try:
-        sigma, cert = spread_zero_witness(grp.k, h)
-    except BoundsError as exc:
-        raise UsageError(str(exc))
+    sigma, cert = spread_zero_witness(grp.k, h)
     if args.json:
         _emit_json({"sigma": str(sigma), "certificate": cert_to_dict(cert)})
     else:
@@ -356,13 +341,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ElemError, PermError, CertError, OracleError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, ElemError, PermError, CertError, OracleError,
+            ConstructError, BoundsError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .perm import FinPerm
 from .elem import (
@@ -150,46 +150,7 @@ class _Builder:
 # Conjugating a 3-cycle X by a translated copy of a fixed 3-cycle moves at
 # most the points of X that lie in the copy's support.  If the copy meets
 # supp(X) in a single point, exactly that point is renamed.  A breadth-first
-# search over such moves walks one point of X at a time to a chosen target,
-# or all three points of X to a triple a criterion accepts.
-
-
-def _bfs_walk(
-    start: Hashable,
-    done: Callable[[Hashable], bool],
-    neighbours: Callable[[Hashable], Iterator[Tuple[object, Hashable]]],
-    depth: Optional[int] = None,
-) -> Optional[List[object]]:
-    """The moves of a shortest walk from start to a node where done holds,
-    or None if no such node lies within depth moves (None: any number).
-
-    neighbours(node) yields the moves (move, next node) open at node,
-    always in the same order, so the walk found is a function of the
-    input alone.
-    """
-    if done(start):
-        return []
-    seen = {start: None}
-    frontier = [start]
-    level = 0
-    while frontier and level != depth:
-        level += 1
-        nxt = []
-        for node in frontier:
-            for move, node2 in neighbours(node):
-                if node2 in seen:
-                    continue
-                seen[node2] = (node, move)
-                if done(node2):
-                    moves = []
-                    while seen[node2] is not None:
-                        node2, move = seen[node2]
-                        moves.append(move)
-                    moves.reverse()
-                    return moves
-                nxt.append(node2)
-        frontier = nxt
-    return None
+# search over such moves walks one point of X at a time to a chosen target.
 
 
 def _point_walk(
@@ -201,21 +162,33 @@ def _point_walk(
     hi: int,
 ) -> List[Tuple[int, int]]:
     """Moves (m, e) of a shortest walk of one point from start to target
-    inside [lo, hi].
+    inside [lo, hi], by breadth-first search.
 
     neighbours(p, others) yields the moves (m, e, next point) open at p
-    while the other tracked points are others.
+    while the other tracked points are others, always in the same order,
+    so the walk found is a function of the input alone.
     """
-
-    def step(p: int):
-        for m, e, p2 in neighbours(p, others):
-            if lo <= p2 <= hi:
-                yield (m, e), p2
-
-    moves = _bfs_walk(start, target.__eq__, step)
-    if moves is None:
-        raise ConstructError("no conjugation walk from %d to %d" % (start, target))
-    return moves
+    if start == target:
+        return []
+    seen = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for m, e, p2 in neighbours(p, others):
+                if not lo <= p2 <= hi or p2 in seen:
+                    continue
+                seen[p2] = (p, (m, e))
+                if p2 == target:
+                    moves = []
+                    while seen[p2] is not None:
+                        p2, move = seen[p2]
+                        moves.append(move)
+                    moves.reverse()
+                    return moves
+                nxt.append(p2)
+        frontier = nxt
+    raise ConstructError("no conjugation walk from %d to %d" % (start, target))
 
 
 # -- the 3-cycle criterion tests for G_1 and G_2 -----------------------------
@@ -498,19 +471,6 @@ def _closes(k: int, vals: Sequence[int]) -> bool:
     return len(pair) == 2 and len(lone) == 1 and abs(pair[0] - pair[1]) == 2
 
 
-def _closing(k: int, w: FinPerm) -> Callable[[Sequence[int]], bool]:
-    """Whether h = make_s(w, k), k = 1 or 2, closes G_k on a 3-cycle, as a
-    test on the cycle's points.
-
-    h moves each x to ((x)w^-1 + k)w, so y(x) = (x)w^-1 is a coordinate in
-    which h translates by k.  For k = 2 the parity of y names the orbit of
-    h, and class_tk_relabel differs from y by a constant per orbit, so the
-    seed pattern reads the same on y.
-    """
-    w_inv = w.inverse()
-    return lambda pts: _closes(k, [w_inv.apply(p) for p in pts])
-
-
 def _layout_ok(sigma: FinPerm, pos: Dict[int, int], k: int) -> bool:
     """Whether h = make_s(omega, k), k = 1 or 2, seals sigma via _chain.
 
@@ -672,42 +632,65 @@ def _nonalt_frame(k: int, gs: Sequence[GroupElement], avoidb: int) -> _Frame:
     raise ConstructError("could not find a usable frame")
 
 
+def _nu_step(k: int) -> int:
+    """The step e with which nu acts on the frame block, as sigma^e.
+
+    Read where h becomes t^k, the frame's 3-cycle T0 is (P+e-q, P, P+e),
+    P the last point of the block's translate by c.  Its gaps q-e and e
+    are coprime because q is prime and 0 < e < q, so gcd_criterion closes
+    G_1 on T0.  With e = 2, P and P+2 are adjacent on one orbit of t^2,
+    and P+2-q lies on the other because q is odd, so g2_seed closes G_2
+    on T0.  k = 1 and 2 therefore take e = 2 and need no search.  For
+    k >= 3 the walk takes e = k+1: nu acts on each block as a step-(k+1)
+    circulant, so tracked points stay at least k+1 apart and aligned
+    escape anchors exist.
+    """
+    return 2 if k <= 2 else k + 1
+
+
+def _derive_t0(b: _Builder, q: int, c: int, k: int) -> GroupElement:
+    """Derive the frame's 3-cycle T0 from h and nu, both bound in b.
+
+    The translate of nu by c + q - 1 meets supp(nu) in a single point,
+    so conjugating nu by it renames that point and the quotient with nu
+    is a 3-cycle.
+    """
+    d0 = c + q - 1
+    if d0 % k:
+        raise ConstructError("internal: first translate is not a multiple of k")
+    b.derive("A0", [("h", -d0 // k), ("nu", 1), ("h", d0 // k)])
+    b.derive("s0", [("A0", -1), ("nu", 1), ("A0", 1)])
+    t0 = b.derive("T0", [("nu", 1), ("s0", -1)])
+    if t0.shift != 0 or not t0.fin.is_three_cycle():
+        raise ConstructError("internal: overlap step did not give a 3-cycle")
+    return t0
+
+
 def _nonalt_certificates(
     frame: _Frame, w: FinPerm, gs: Sequence[GroupElement]
 ) -> Tuple[PositiveCertificate, ...]:
     """Certificates that h = make_s(w, k) generates G_k with each g in gs.
 
     Each one derives z = g^p h^(c/k), its power mu and the power nu of mu
-    that acts as sigma^(k+1) on the frame block and its inverse on the
-    block's translate by c, whatever g is.  Every later step depends on h
-    and nu alone, so it is derived once and appended to each certificate
-    with its values: the 3-cycle T0, then for k = 1 and 2 a conjugate of
-    T0 that gcd_criterion or g2_seed accepts with h, found by a short
-    search, and otherwise the walk and the alt_basis axiom.
+    that acts as sigma^e, e = _nu_step(k), on the frame block and as its
+    inverse on the block's translate by c, whatever g is.  Every later
+    step depends on h and nu alone, so it is derived once and appended to
+    each certificate with its values: the 3-cycle T0, then for k = 1 and 2
+    the axiom gcd_criterion or g2_seed on T0 itself, and for k >= 3 the
+    walk and the alt_basis axiom.
     """
     k, q, c = frame.k, frame.q, frame.c
     sigma = frame.sigma
-    nu = finitary(sigma ** (k + 1) * (sigma ** -(k + 1)).translate(c))
+    e = _nu_step(k)
+    nu = finitary(sigma ** e * (sigma ** -e).translate(c))
     h = make_s(w, k)
     shared = _Builder(G(k), {"h": h, "nu": nu})
-    # the translate of nu by c + q - 1 meets supp(nu) in a single point,
-    # so conjugating nu by it renames that point and the quotient with nu
-    # is a 3-cycle
-    d0 = c + q - 1
-    if d0 % k:
-        raise ConstructError("internal: first translate is not a multiple of k")
-    shared.derive("A0", [("h", -d0 // k), ("nu", 1), ("h", d0 // k)])
-    shared.derive("s0", [("A0", -1), ("nu", 1), ("A0", 1)])
-    t0 = shared.derive("T0", [("nu", 1), ("s0", -1)])
-    if t0.shift != 0 or not t0.fin.is_three_cycle():
-        raise ConstructError("internal: overlap step did not give a 3-cycle")
-    moves = _NuMoves(shared, frame, w)
-    seed = _seed_cycle(moves, w) if k <= 2 else None
-    if seed is not None:
-        shared.axiom(_CLOSING_AXIOM[k], {"cycle": seed, "s": "h"})
+    _derive_t0(shared, q, c, k)
+    if k <= 2:
+        shared.axiom(_CLOSING_AXIOM[k], {"cycle": "T0", "s": "h"})
     else:
         b0 = frame.base + 3 * c
-        names = _nonalt_walk(moves, b0)
+        names = _nonalt_walk(_NuMoves(shared, frame, w), b0)
         shared.axiom("alt_basis", {"step": "h", "base": b0, "c": k, "cycles": names})
     out = []
     for g, power, order in zip(gs, frame.powers, frame.orders):
@@ -715,9 +698,7 @@ def _nonalt_certificates(
         b.derive("z", [("g", power), ("h", c // k)])
         b.derive("mu", [("z", order)])
         b.expect("mu", finitary((sigma ** order) * (sigma ** (-order)).translate(c)))
-        # nu acts on each q-point block as a step-(k+1) circulant, so tracked
-        # points stay at least k+1 apart and aligned escape anchors exist
-        exp = ((k + 1) * pow(order % q, -1, q)) % q
+        exp = (e * pow(order % q, -1, q)) % q
         b.derive("nu", [("mu", exp)])
         b.extend(shared)
         out.append(b.finish())
@@ -800,32 +781,6 @@ class _NuMoves:
         self.b.derive(name, [(carrier, -e), (src, 1), (carrier, e)])
         return name
 
-    def follow(self, src: str, moves: Sequence[Tuple[int, int]]) -> str:
-        """Derive src conjugated by each move in turn; the last name."""
-        for delta, e in moves:
-            src = self.conjugate(src, self.conjugator_name(delta), e)
-        return src
-
-
-def _seed_cycle(moves: _NuMoves, w: FinPerm) -> Optional[str]:
-    """A 3-cycle, conjugate to T0, on which h = make_s(w, k) closes G_k by
-    its axiom, k = 1 or 2, or None if none lies within four moves.
-
-    A breadth-first search over the sorted point triples moves one point
-    of the tracked cycle at a time, as the walk does.
-    """
-    k = moves.frame.k
-
-    def step(pts: Tuple[int, int, int]):
-        for i, p in enumerate(pts):
-            others = frozenset(pts[:i] + pts[i + 1:])
-            for delta, e, p2 in moves.neighbours(p, others):
-                yield (delta, e), tuple(sorted(others | {p2}))
-
-    start = tuple(sorted(moves.b.env["T0"].fin.support))
-    path = _bfs_walk(start, _closing(k, w), step, 4)
-    return None if path is None else moves.follow("T0", path)
-
 
 def _nonalt_walk(moves: _NuMoves, b0: int) -> List[str]:
     """Derive the 3-cycles (b0+1, b0+2, b0+j) for j = 3..k+2.
@@ -850,8 +805,8 @@ def _nonalt_walk(moves: _NuMoves, b0: int) -> List[str]:
         goals = sorted(targets)
         for idx in (2, 1, 0):
             others = frozenset(v for i, v in enumerate(tracked) if i != idx)
-            walk = _point_walk(tracked[idx], goals[idx], others, moves.neighbours, lo, hi)
-            cur_name = moves.follow(cur_name, walk)
+            for delta, e in _point_walk(tracked[idx], goals[idx], others, moves.neighbours, lo, hi):
+                cur_name = moves.conjugate(cur_name, moves.conjugator_name(delta), e)
             tracked[idx] = goals[idx]
         val = b.env[cur_name]
         if val.shift != 0 or val.fin.support != frozenset(targets):

@@ -43,6 +43,7 @@ from houghton.construct import (
     three_cycle_word,
     two_gen_alpha,
 )
+from houghton.suite import _rand_nonfin
 
 
 def rand_even(rng, span=10, size=(3, 7)):
@@ -299,8 +300,8 @@ def test_partner_nonalt_random(seed):
 
 
 def test_partner_nonalt_large_shift():
-    # k = 1 does not walk: its certificate closes on a 3-cycle near T0
-    # through gcd_criterion, so its length does not grow with the shift;
+    # k = 1 does not walk: its certificate closes on the frame's 3-cycle
+    # T0 through gcd_criterion, so its length does not grow with the shift;
     # partner_nonalt verifies its certificate before returning it
     res = partner_nonalt(1, [t(5003)])
     assert in_class_tk(res.h, 1) is not None
@@ -346,10 +347,11 @@ def test_partner_nonalt_short_conjugator_words():
     st.data(),
 )
 def test_closing_matches_the_kernel(k, q, c, rng, data):
-    # construct reads the closing axiom on y(x) = (x)w^-1, with no kernel
-    # call; the kernel reads it on its own orbit coordinates.  w is a frame
-    # q-cycle times a scrambled part below it, as in common_partner, and
-    # the points lie on the frame block and above it
+    # h = make_s(w, k) translates by k in the coordinate y(x) = (x)w^-1, and
+    # for k = 2 the parity of y names the orbit, so _closes on y agrees with
+    # the kernel on its own orbit coordinates.  w is a frame q-cycle times a
+    # scrambled part below it, as in common_partner, and the points lie on
+    # the frame block and above it
     base = 2 * c + 20
     sigma = FinPerm.cycle(*range(base + 1, base + q + 1))
     w = sigma * rand_even(rng)
@@ -361,7 +363,37 @@ def test_closing_matches_the_kernel(k, q, c, rng, data):
         {"h": make_s(w, k), "c": finitary(FinPerm.cycle(*pts))},
         (Axiom("gcd_criterion" if k == 1 else "g2_seed", {"cycle": "c", "s": "h"}),),
     )
-    assert construct._closing(k, w)(pts) == verify_positive(cert).ok
+    w_inv = w.inverse()
+    assert construct._closes(k, [w_inv.apply(p) for p in pts]) == verify_positive(cert).ok
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_frame_cycle_closes_g1_and_g2(k):
+    # read where h becomes t^k, T0 is (P+e-q, P, P+e) for nu stepping by e
+    # on the frame block: e = 2 closes it for G_1 and for G_2 on every prime
+    # q the frame can pick, e = 3 never for G_2, since q >= 7 there
+    rng = random.Random(k)
+    start = time.perf_counter()
+    q, cases = 2 * k + 2, 0
+    while (q := construct._next_prime(q)) <= 61:
+        for c in range(q + 3, q + 41):
+            if c % k:
+                continue
+            base = 2 * c + 20
+            sigma = FinPerm.cycle(*range(base + 1, base + q + 1))
+            h = make_s(sigma * rand_even(rng), k)
+            for e, closes in [(construct._nu_step(k), True)] + [(3, False)] * (k == 2):
+                nu = finitary(sigma ** e * (sigma ** -e).translate(c))
+                t0 = construct._derive_t0(construct._Builder(G(k), {"h": h, "nu": nu}), q, c, k)
+                cert = PositiveCertificate(
+                    G(k),
+                    {"h": h, "T0": t0},
+                    (Axiom(construct._CLOSING_AXIOM[k], {"cycle": "T0", "s": "h"}),),
+                )
+                assert verify_positive(cert).ok == closes, (q, c, e)
+                cases += 1
+    assert cases == (608 if k == 1 else 570)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_partner_nonalt_closes_on_one_cycle():
@@ -375,30 +407,35 @@ def test_partner_nonalt_closes_on_one_cycle():
     assert time.perf_counter() - start < 1.0
 
 
-def test_partner_nonalt_falls_back_to_the_walk(monkeypatch):
-    # a seed search that finds nothing leaves k = 1 and 2 to the walk
-    monkeypatch.setattr(construct, "_seed_cycle", lambda moves, w: None)
-    for k, gs in ((1, [t(1), t(-2)]), (2, [t(2), finitary(FinPerm.cycle(0, 1, 2)) * t(-4)])):
+def test_partner_nonalt_closes_on_the_frame_cycle():
+    # for k = 1 and 2 every certificate closes on T0 itself, with no walk
+    # step T<n> and no conjugator f<n>
+    rng = random.Random(2026)
+    for _ in range(200):
+        k = rng.choice([1, 2])
+        gs = [_rand_nonfin(rng, k) for _ in range(rng.randint(1, 4))]
         for cert in partner_nonalt(k, gs).certificates:
-            assert cert.steps[-1].variant == "alt_basis"
+            names = [s.name for s in cert.steps if isinstance(s, Derive)]
+            assert names == ["z", "mu", "nu", "A0", "s0", "T0"]
+            assert cert.steps[-1] == Axiom(construct._CLOSING_AXIOM[k], {"cycle": "T0", "s": "h"})
             assert verify(cert_from_json(cert_to_json(cert))).ok
 
 
 def test_partner_nonalt_walks_once_per_frame(monkeypatch):
     # the walk depends on h and nu alone, never on the member
     calls = [0]
-    walk = construct._bfs_walk
+    walk = construct._point_walk
 
     def counting(*args):
         calls[0] += 1
         return walk(*args)
 
-    monkeypatch.setattr(construct, "_bfs_walk", counting)
-    partner_nonalt(2, [t(2)])
+    monkeypatch.setattr(construct, "_point_walk", counting)
+    partner_nonalt(3, [t(3)])
     one = calls[0]
     calls[0] = 0
-    gs = [t(2), t(-4), finitary(FinPerm.cycle(0, 1, 2)) * t(-2), finitary(FinPerm.cycle(3, -1, 5)) * t(4)]
-    res = partner_nonalt(2, gs)
+    gs = [t(3), t(-6), finitary(FinPerm.cycle(0, 1, 2)) * t(-3), finitary(FinPerm.cycle(3, -1, 5)) * t(6)]
+    res = partner_nonalt(3, gs)
     assert 0 < calls[0] <= one
     # z, mu, the pin on mu and nu come first; the rest is shared
     suffixes = [cert.steps[4:] for cert in res.certificates]
