@@ -54,6 +54,13 @@ MAX_POINT = 10 ** 5
 # product it forms costs more than twice this.
 MAX_SUPPORT = 10 ** 5
 
+# The largest |x| of a point moved by a power or product the kernel keeps.
+# CPython hashes an int by its residue mod 2^61 - 1, so points past this
+# could collide in the dicts a product builds and make it quadratic: a
+# power of an element whose points are spread by multiples of 2^63 took
+# minutes, though its support stayed under MAX_SUPPORT.
+MAX_WORD_POINT = 2 ** 60
+
 
 Word = Tuple[Tuple[str, int], ...]
 
@@ -144,8 +151,15 @@ def _conjugation(env: Dict[str, GroupElement], word: Word) -> Optional[GroupElem
     if (x is None or y is None or a2 != a or not all(map(_is_int, (neg, m, e)))
             or neg != -e or (y.shift and m)):
         return None
+    # y^(x^e) moves points of y and of x^e, which lie within |e shift| of
+    # those of x, all moved by the shift of x^e; with no shift, it moves
+    # only points x and y move, as the general loop reads it
+    reach = abs(e * x.shift)
+    if reach and max(y.fin.bound(), x.fin.bound() + reach) + reach > MAX_WORD_POINT:
+        return None
     try:
-        w, y = x.power(e, MAX_SUPPORT), y.power(m, MAX_SUPPORT)
+        w = x.power(e, MAX_SUPPORT, MAX_WORD_POINT)
+        y = y.power(m, MAX_SUPPORT)
     except ElemError:
         return None
     if len(w.fin) + len(y.fin) > MAX_SUPPORT:
@@ -154,10 +168,15 @@ def _conjugation(env: Dict[str, GroupElement], word: Word) -> Optional[GroupElem
 
 
 def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
+    """The product of the word's letters.  CertError when a name is unbound,
+    an exponent is not an int, or a power or product formed moves more than
+    MAX_SUPPORT points, or a point past MAX_WORD_POINT where the word has
+    translated points (a letter or partial product with a shift); without
+    a shift, a word moves only points that its names move."""
     fast = _conjugation(env, word)
     if fast is not None:
         return fast
-    out = None
+    out, far, bound = None, 0, 0
     for name, exp in word:
         g = _named(env, name)
         if g is None:
@@ -165,14 +184,29 @@ def eval_word(env: Dict[str, GroupElement], word: Word) -> GroupElement:
         if not _is_int(exp):
             raise CertError("non-integer exponent in word")
         try:
-            letter = g.power(exp, MAX_SUPPORT)
+            letter = g.power(exp, MAX_SUPPORT, MAX_WORD_POINT)
         except ElemError as exc:
             raise CertError("%r^%d: %s" % (name, exp, exc)) from exc
-        out = letter if out is None else out * letter
+        # g^exp moves points within |exp shift| of those g moves, and
+        # out * letter those of out and of letter moved by -(shift of out);
+        # far is how far the points of out may lie from those of the names
+        reach = abs(exp * g.shift)
+        if out is None:
+            out, far = letter, reach
+        else:
+            far = max(far, reach + abs(out.shift))
+            out = out * letter
         if len(out.fin) > MAX_SUPPORT:
             raise CertError(
                 "support %d of the word exceeds the limit %d" % (len(out.fin), MAX_SUPPORT)
             )
+        if far:
+            bound = max(bound, g.fin.bound() + far)
+            if bound > MAX_WORD_POINT:
+                bound = out.eventual_bound()
+                if bound > MAX_WORD_POINT:
+                    raise CertError("point %d of the word exceeds the limit %d"
+                                    % (bound, MAX_WORD_POINT))
     return identity() if out is None else out
 
 

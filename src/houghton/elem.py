@@ -58,27 +58,33 @@ class GroupElement:
     def __pow__(self, n: int) -> "GroupElement":
         return self.power(n)
 
-    def power(self, n: int, limit: Optional[int] = None) -> "GroupElement":
+    def power(self, n: int, limit: Optional[int] = None,
+              point_limit: Optional[int] = None) -> "GroupElement":
         """self^n by repeated squaring.
 
         With a limit, raise ElemError as soon as a product moves more
         than limit points, so that no product costs more than twice the
-        limit.
+        limit; with a point_limit, as soon as a product moves a point x
+        with |x| > point_limit.
         """
         if n == 0:
             return identity()
         if not self.shift:
             return GroupElement(self.fin ** n, 0)
+        # every product below is a power self^j, 0 < |j| <= |n|, whose
+        # points lie within |j * shift| of those of self
+        if point_limit is not None and self.eventual_bound() + abs(n * self.shift) <= point_limit:
+            point_limit = None
         base = self if n > 0 else self.inverse()
         n = abs(n)
         out = None
         while True:
             if n & 1:
-                out = base if out is None else _bounded(out * base, limit)
+                out = base if out is None else _bounded(out * base, limit, point_limit)
             n >>= 1
             if not n:
                 return out
-            base = _bounded(base * base, limit)
+            base = _bounded(base * base, limit, point_limit)
 
     def conjugate(self, w: "GroupElement") -> "GroupElement":
         """self^w = w^-1 * self * w.
@@ -92,8 +98,7 @@ class GroupElement:
 
     def eventual_bound(self) -> int:
         """Least m >= 0 such that (x)g = x + shift whenever |x| > m."""
-        supp = self.fin.support
-        return max(max(supp), -min(supp)) if supp else 0
+        return self.fin.bound()
 
     # -- text ------------------------------------------------------------
 
@@ -114,9 +119,12 @@ def identity() -> GroupElement:
     return GroupElement(FinPerm.identity(), 0)
 
 
-def _bounded(g: GroupElement, limit: Optional[int]) -> GroupElement:
+def _bounded(g: GroupElement, limit: Optional[int],
+             point_limit: Optional[int] = None) -> GroupElement:
     if limit is not None and len(g.fin) > limit:
         raise ElemError("support %d exceeds the limit %d" % (len(g.fin), limit))
+    if point_limit is not None and g.eventual_bound() > point_limit:
+        raise ElemError("point %d exceeds the limit %d" % (g.eventual_bound(), point_limit))
     return g
 
 

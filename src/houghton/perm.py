@@ -38,11 +38,12 @@ def _validate_mapping(mapping: Dict[int, int]) -> Dict[int, int]:
 class FinPerm:
     """A permutation of Z moving only finitely many points."""
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map", "_hash", "_bound")
 
     def __init__(self, mapping: Dict[int, int] | None = None):
         self._map = _validate_mapping(dict(mapping) if mapping else {})
         self._hash = None
+        self._bound = None
 
     # -- constructors -------------------------------------------------
 
@@ -97,6 +98,13 @@ class FinPerm:
 
     def __len__(self) -> int:
         return len(self._map)
+
+    def bound(self) -> int:
+        """The largest |x| of a moved point, 0 for the identity (cached)."""
+        if self._bound is None:
+            m = self._map
+            self._bound = max(max(m), -min(m)) if m else 0
+        return self._bound
 
     # -- algebra ---------------------------------------------------------
 
@@ -254,4 +262,5 @@ def _trusted(mapping: Dict[int, int]) -> FinPerm:
     p = object.__new__(FinPerm)
     p._map = mapping
     p._hash = None
+    p._bound = None
     return p

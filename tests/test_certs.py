@@ -25,6 +25,7 @@ from houghton.certs import (
     MAX_POINT,
     MAX_SHIFT,
     MAX_SUPPORT,
+    MAX_WORD_POINT,
     Axiom,
     CertError,
     CheckEqual,
@@ -138,6 +139,28 @@ def test_conjugation_words_match_pointwise_reference(a, y, s, outer, inner, e, m
         assert str(exc.value) == want
     else:
         assert eval_word(env, word) == want
+
+
+def _outcome(env, word):
+    try:
+        return eval_word(env, word)
+    except CertError as exc:
+        return str(exc)
+
+
+@given(_small_elements(True), _small_elements(False), st.sampled_from(_NAMES[:2]),
+       st.sampled_from(_NAMES[:2]), st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=0, max_value=24))
+def test_conjugation_words_meet_the_point_limit_as_the_loop_does(a, y, outer, inner, e, m, limit):
+    # with the limit among the points the word translates to, the fast
+    # path refuses, or hands on, exactly the words the general loop refuses
+    env = {"a": a, "y": y}
+    word = ((outer, -e), (inner, m), (outer, e))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certs, "MAX_WORD_POINT", limit)
+        got = _outcome(env, word)
+        mp.setattr(certs, "_conjugation", lambda env, word: None)
+        assert got == _outcome(env, word)
 
 
 def test_conjugation_word_bounded_by_intermediate_product(monkeypatch):
@@ -692,6 +715,34 @@ def test_support_limit_reads_actual_supports():
     env = {"c": c, "d": finitary(FinPerm.cycle(-1, -2))}
     with pytest.raises(CertError, match="exceeds the limit"):
         eval_word(env, (("c", 1), ("d", 1)))
+
+
+# -- the word point limit: a power whose points pass it is refused -------------
+
+
+def test_far_word_points_rejected_quickly():
+    # h^(2^63) moves few points, but near -2^63; the powers of a below
+    # move points 2^63 apart, which CPython hashes alike (2^63 = 4 mod
+    # 2^61 - 1): a square of a took minutes before the point limit
+    h = "(-1 1)(0 5)(6 7 8)(44 45 49) t"
+    steps = [Derive("a", (("h", -4), ("g", 1), ("h", 2 ** 63))),
+             Derive("b", (("a", 10 ** 12), ("g", 1), ("a", 1)))]
+    start = time.perf_counter()
+    res = verify(pos(G(1), gens(g="(1 2 3 4 5)", h=h), steps))
+    assert time.perf_counter() - start < 1.0
+    assert not res.ok and "exceeds the limit %d" % MAX_WORD_POINT in res.reason
+
+
+def test_word_point_limit_reads_translated_points():
+    # t^-1 (0 L-1) moves (1 L), t^-2 (0 L-1) moves (2 L+1)
+    L = MAX_WORD_POINT
+    env = {"c": finitary(FinPerm.cycle(0, L - 1)), "t": parse_element("t")}
+    assert eval_word(env, (("t", -1), ("c", 1))) == GroupElement(FinPerm.cycle(1, L), -1)
+    with pytest.raises(CertError, match="point %d of the word exceeds the limit %d" % (L + 1, L)):
+        eval_word(env, (("t", -2), ("c", 1)))
+    # a word without a shift moves only points its names move
+    far = finitary(FinPerm.cycle(0, L + 1))
+    assert eval_word({"c": far}, (("c", 1),)) == far
 
 
 # -- the scanning negatives check each generator on its own window --------
